@@ -14,10 +14,11 @@
 
 use crate::answer::{finish_candidates, Candidate};
 use crate::verify::limit_verified_query_by;
-use wnrs_geometry::{cmp_f64, CostModel, Point};
+use wnrs_geometry::kernels::dominates_raw;
+use wnrs_geometry::stats::record_dominance_tests;
+use wnrs_geometry::{abs_diff_into, cmp_f64, CostModel, Point};
 use wnrs_reverse_skyline::{is_reverse_skyline_member, window_query};
 use wnrs_rtree::{ItemId, RTree};
-use wnrs_skyline::sfs_skyline;
 
 /// The result of Algorithm 2.
 #[derive(Debug, Clone)]
@@ -50,6 +51,23 @@ fn untransform(c_t: &Point, q: &Point, t: &Point) -> Point {
             })
             .collect::<Vec<_>>(),
     )
+}
+
+/// Removes, in place and in order, the `t.len()`-wide rows of the flat
+/// buffer `rows` that `t` dominates. Returns the dominance tests made.
+fn evict_dominated(rows: &mut Vec<f64>, t: &[f64]) -> u64 {
+    let d = t.len();
+    let n = rows.len() / d;
+    let mut kept = 0;
+    for r in 0..n {
+        let row = r * d..(r + 1) * d;
+        if !dominates_raw(t, &rows[row.clone()]) {
+            rows.copy_within(row, kept * d);
+            kept += 1;
+        }
+    }
+    rows.truncate(kept * d);
+    n as u64
 }
 
 /// Runs Algorithm 2: all minimal candidate locations for `q*`, cheapest
@@ -109,14 +127,30 @@ pub fn modify_query_point_core(
     }
 
     // F = Λ ∩ DSL(c_t): the transformed-space skyline of the blockers
-    // (steps 3–5: e1 ≻_{c_t} e2 removes e2). SFS replaces the paper's
-    // O(|Λ|²) pairwise pruning — Λ can contain thousands of points when
-    // the why-not customer sits deep in a dense region.
-    let lambda_t: Vec<Point> = lambda.iter().map(|(_, e)| e.abs_diff(c_t)).collect();
-    let f_t: Vec<Point> = sfs_skyline(&lambda_t)
-        .into_iter()
-        .map(|i| lambda_t[i].clone())
-        .collect();
+    // (steps 3–5: e1 ≻_{c_t} e2 removes e2), in one streaming pass
+    // instead of the paper's O(|Λ|²) pairwise pruning — Λ can contain
+    // thousands of points when the why-not customer sits deep in a
+    // dense region. Each image `t = |e − c_t|` is dropped when a kept
+    // image dominates it; otherwise it evicts the kept images it
+    // dominates. A dominator always precedes its victim in
+    // `sfs_skyline`'s presort order, so `f_t` (the kept images, d per
+    // blocker, in Λ order) ends as exactly SFS's output. Dominance tests
+    // are tallied and recorded once per call, as the batched kernels do.
+    let mut t: Vec<f64> = Vec::with_capacity(d);
+    let mut f_t: Vec<f64> = Vec::new();
+    let mut tests = 0u64;
+    for (_, e) in lambda {
+        abs_diff_into(e.coords(), c_t.coords(), &mut t);
+        let dominated = f_t.chunks_exact(d).any(|f| {
+            tests += 1;
+            dominates_raw(f, &t)
+        });
+        if !dominated {
+            tests += evict_dominated(&mut f_t, &t);
+            f_t.extend_from_slice(&t);
+        }
+    }
+    record_dominance_tests(tests);
     let t_q = q.abs_diff(c_t);
 
     let mut raw_t: Vec<Point> = Vec::new();
@@ -124,13 +158,16 @@ pub fn modify_query_point_core(
     // Axis candidates (Eqn (6)): lower a single transformed coordinate
     // of q to the staircase's minimum in that dimension.
     for i in 0..d {
-        let min_i = f_t.iter().map(|e| e[i]).fold(f64::INFINITY, f64::min);
+        let min_i = f_t
+            .chunks_exact(d)
+            .map(|e| e[i])
+            .fold(f64::INFINITY, f64::min);
         raw_t.push(t_q.with_coord(i, min_i.min(t_q[i])));
     }
 
     // Staircase outer corners (Eqn (5) max-merge) in 2-d.
     if d == 2 {
-        let mut pts: Vec<(f64, f64)> = f_t.iter().map(|e| (e[0], e[1])).collect();
+        let mut pts: Vec<(f64, f64)> = f_t.chunks_exact(2).map(|e| (e[0], e[1])).collect();
         pts.sort_by(|a, b| cmp_f64(a.0, b.0).then(cmp_f64(b.1, a.1)));
         for l in 0..pts.len().saturating_sub(1) {
             // max-merge of the successive pair: the outer stair corner.

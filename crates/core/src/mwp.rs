@@ -44,38 +44,42 @@ impl MwpAnswer {
     }
 }
 
-/// Per-blocker escape thresholds in the directed frame: crossing
-/// `threshold[i]` (in direction `sign[i]`) in any dimension `i` stops the
-/// blocker from dominating `q`. `None` marks dimensions that cannot
-/// neutralise this blocker in the chosen direction.
-struct Thresholds {
-    directed: Vec<Option<f64>>,
+/// Escape threshold of a blocker with coordinate `e` in one dimension
+/// of the directed frame: crossing it (in direction `sign`) stops the
+/// blocker from dominating `q`. `None` when this dimension cannot
+/// neutralise the blocker in the chosen direction.
+fn threshold(e: f64, q: f64, sign: f64) -> Option<f64> {
+    // Note `signum` maps a 0.0 difference to 1.0, so the tie case
+    // must be decided by comparison, not by sign extraction.
+    let dir = match cmp_f64(q, e) {
+        Ordering::Greater => 1.0,
+        Ordering::Less => -1.0,
+        // q and e tie in this dimension: no strict win possible.
+        Ordering::Equal => return None,
+    };
+    // Escaping against the canonical direction is no escape.
+    (dir == sign).then_some(sign * 0.5 * (q + e))
 }
 
-fn thresholds(e: &Point, q: &Point, sign: &[f64]) -> Thresholds {
-    let d = q.dim();
-    let mut directed = Vec::with_capacity(d);
-    for i in 0..d {
-        // Note `signum` maps a 0.0 difference to 1.0, so the tie case
-        // must be decided by comparison, not by sign extraction.
-        let dir = match cmp_f64(q[i], e[i]) {
-            Ordering::Greater => 1.0,
-            Ordering::Less => -1.0,
-            Ordering::Equal => {
-                // q and e tie in this dimension: no strict win possible.
-                directed.push(None);
-                continue;
-            }
-        };
-        if dir != sign[i] {
-            // Escaping would require moving against the canonical
-            // direction.
-            directed.push(None);
-        } else {
-            directed.push(Some(sign[i] * 0.5 * (q[i] + e[i])));
-        }
+/// Whether the 2-d threshold pair `k` shadows `p`: `k` sorts no later
+/// than `p` in the staircase sweep's (dim 0 desc, dim 1 desc) order and
+/// `p` does not beat it in dim 1, so the sweep's record test discards
+/// `p` whenever `k` is present. Thresholds are never NaN (points are
+/// finite), so `<=` is the sweep's `!(b > best1)`.
+fn shadows(k: (f64, f64), p: (f64, f64)) -> bool {
+    cmp_f64(p.0, k.0).then(cmp_f64(p.1, k.1)).is_le() && p.1 <= k.1
+}
+
+/// Adds threshold pair `p` to the 2-d staircase candidates unless a kept
+/// pair shadows it; otherwise it evicts the kept pairs it shadows.
+/// Kept pairs never shadow each other, so the vector stays as small as
+/// the frontier seen so far.
+fn push_stair(stairs: &mut Vec<(f64, f64)>, p: (f64, f64)) {
+    if stairs.iter().any(|&k| shadows(k, p)) {
+        return;
     }
-    Thresholds { directed }
+    stairs.retain(|&k| !shadows(p, k));
+    stairs.push(p);
 }
 
 /// Runs Algorithm 1: all minimal candidate locations for `c_t*`,
@@ -145,78 +149,66 @@ pub fn modify_why_not_point_core(
         .map(|i| if q[i] >= c_t[i] { 1.0 } else { -1.0 })
         .collect();
 
-    let thr: Vec<Thresholds> = lambda
-        .iter()
-        .map(|(_, e)| thresholds(e, q, &sign))
-        .collect();
-
-    let mut raw: Vec<Point> = Vec::new();
-
-    // Axis candidates (Eqn (3) endpoints; sole construction for d > 2):
-    // move only dimension i far enough to escape every blocker. Only the
-    // per-dimension maximum threshold matters, so no frontier pruning is
-    // needed here — O(|Λ|·d).
-    for (i, s_i) in sign.iter().enumerate() {
-        let mut needed = f64::NEG_INFINITY;
-        let mut feasible = true;
-        for t in &thr {
-            match t.directed[i] {
-                Some(v) => needed = needed.max(v),
-                None => {
-                    feasible = false;
-                    break;
-                }
+    // One pass over Λ, computing each blocker's thresholds on the fly.
+    // Axis candidates (Eqn (3) endpoints; sole construction for d > 2)
+    // move only dimension i far enough to escape every blocker, so only
+    // the per-dimension maximum threshold matters: `needed[i]` folds it
+    // in Λ order and turns `None` at the first blocker dimension i
+    // cannot escape. In 2-d the pass also keeps the threshold pairs no
+    // other pair shadows (Algorithm 1 steps 3–5) — the frontier of the
+    // threshold set, in O(|Λ|·|F|) comparisons and with allocations
+    // that do not grow with |Λ|.
+    let mut needed: Vec<Option<f64>> = vec![Some(f64::NEG_INFINITY); d];
+    let mut stairs: Vec<(f64, f64)> = Vec::new();
+    for (_, e) in lambda {
+        for (i, n) in needed.iter_mut().enumerate() {
+            *n = n.zip(threshold(e[i], q[i], sign[i])).map(|(m, v)| m.max(v));
+        }
+        // In 2-d, while every blocker so far, this one included, has
+        // both thresholds, its pair may lie on the staircase.
+        if let [Some(_), Some(_)] = needed[..] {
+            if let (Some(a), Some(b)) = (
+                threshold(e[0], q[0], sign[0]),
+                threshold(e[1], q[1], sign[1]),
+            ) {
+                push_stair(&mut stairs, (a, b));
             }
         }
-        if feasible {
-            let target = s_i * needed;
+    }
+
+    let mut raw: Vec<Point> = Vec::new();
+    for (i, (n, s_i)) in needed.iter().zip(&sign).enumerate() {
+        if let Some(n) = n {
             // Only a move *towards* the threshold counts; if c_t is
             // already past it the blocker list would have been empty.
-            raw.push(c_t.with_coord(i, target));
+            raw.push(c_t.with_coord(i, s_i * n));
         }
     }
 
     // Staircase corners (Eqn (2) min-merge) — the 2-d construction of
-    // Fig. 6(b). The frontier of the threshold set (Algorithm 1 steps
-    // 3–5) falls out of a single sort + max-sweep instead of the paper's
-    // O(|Λ|²) pairwise pruning: sorting by dim 0 descending, a blocker
-    // matters only when its dim-1 threshold exceeds every threshold seen
-    // so far.
-    if d == 2 {
-        let mut pts: Vec<(f64, f64)> = Vec::with_capacity(thr.len());
-        let mut all_finite = true;
-        for t in &thr {
-            match (t.directed[0], t.directed[1]) {
-                (Some(a), Some(b)) => pts.push((a, b)),
-                _ => {
-                    all_finite = false;
-                    break;
-                }
+    // Fig. 6(b), defined when every blocker has both thresholds. Sorting
+    // the kept pairs by dim 0 descending, a pair matters only when its
+    // dim-1 threshold exceeds every threshold seen so far. The pass
+    // above dropped only pairs this max-sweep would discard.
+    if let [Some(_), Some(_)] = needed[..] {
+        stairs.sort_by(|a, b| cmp_f64(b.0, a.0).then(cmp_f64(b.1, a.1)));
+        // Max-frontier sweep: descending dim 0, keep strict dim-1
+        // record holders. The survivors form the staircase, now
+        // ascending in dim 0 after the reverse.
+        let mut best1 = f64::NEG_INFINITY;
+        stairs.retain(|&(_, b)| {
+            let record = b > best1;
+            if record {
+                best1 = b;
             }
-        }
-        if all_finite && !pts.is_empty() {
-            pts.sort_by(|a, b| cmp_f64(b.0, a.0).then(cmp_f64(b.1, a.1)));
-            // Max-frontier sweep: descending dim 0, keep strict dim-1
-            // record holders. The survivors form the staircase, now
-            // ascending in dim 0 after the reverse.
-            let mut frontier: Vec<(f64, f64)> = Vec::new();
-            let mut best1 = f64::NEG_INFINITY;
-            for &(a, b) in &pts {
-                if b > best1 {
-                    frontier.push((a, b));
-                    best1 = b;
-                }
-            }
-            frontier.reverse();
-            for l in 0..frontier.len().saturating_sub(1) {
-                // Escape blockers ≤ l via dim 0, the rest via dim 1; the
-                // frontier is ascending in dim 0 and descending in dim 1,
-                // so the suffix maximum in dim 1 is the next element's.
-                raw.push(Point::xy(
-                    sign[0] * frontier[l].0,
-                    sign[1] * frontier[l + 1].1,
-                ));
-            }
+            record
+        });
+        stairs.reverse();
+        for w in stairs.windows(2) {
+            // Escape the blockers up to w[0] via dim 0, the rest via
+            // dim 1; the frontier is ascending in dim 0 and descending
+            // in dim 1, so the suffix maximum in dim 1 is w[1]'s.
+            raw.push(Point::xy(sign[0] * w[0].0, sign[1] * w[1].1));
         }
     }
 

@@ -397,6 +397,8 @@ fn reader_loop(mut stream: TcpStream, conn: &Arc<ConnShared>, shared: &Arc<Share
             }
         };
         if matches!(req, Request::Shutdown) {
+            // Answered here, not queued: admission stops at once.
+            let _span = wnrs_obs::span!("serve_shutdown");
             conn.send(&Response {
                 id,
                 opcode,
@@ -457,7 +459,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                 Opcode::Mwq => wnrs_obs::span!("serve_mwq"),
                 Opcode::Insert => wnrs_obs::span!("serve_insert"),
                 Opcode::Delete => wnrs_obs::span!("serve_delete"),
-                Opcode::Shutdown => wnrs_obs::span!("serve_ping"),
+                // Readers answer `Shutdown` themselves; never queued.
+                Opcode::Shutdown => wnrs_obs::span!("serve_shutdown"),
             };
             match handler::handle(&shared.host, &shared.opts, &job.req) {
                 Ok(answer) => ResponseBody::Ok(answer),

@@ -3,9 +3,31 @@
 //! Presorting by a monotone score (here: the coordinate sum) guarantees
 //! that no point can be dominated by a later point in the order, so a
 //! single filtering pass against the already-confirmed skyline suffices —
-//! confirmed points are never evicted, unlike BNL's window.
+//! confirmed points are never evicted, unlike BNL's window. Sums that tie
+//! in `f64` are broken lexicographically before the index, so the order
+//! stays a linear extension of dominance when rounding merges the sums
+//! of a dominator and its victim.
 
+use std::cmp::Ordering;
 use wnrs_geometry::{cmp_f64, dominates, Point};
+
+/// Lexicographic coordinate order under plain float comparison, so
+/// `-0.0` and `+0.0` are equal: a dominator is `≤` in every coordinate
+/// and `<` in one, so it sorts strictly first.
+fn lex_cmp(a: &[f64], b: &[f64]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .find_map(|(x, y)| {
+            if x < y {
+                Some(Ordering::Less)
+            } else if x > y {
+                Some(Ordering::Greater)
+            } else {
+                None
+            }
+        })
+        .unwrap_or(Ordering::Equal)
+}
 
 /// Indices of the skyline of `points` under static dominance, in input
 /// order. Equivalent output to [`crate::bnl_skyline`]; typically faster
@@ -15,7 +37,9 @@ pub fn sfs_skyline(points: &[Point]) -> Vec<usize> {
     order.sort_by(|&a, &b| {
         let sa: f64 = points[a].coords().iter().sum();
         let sb: f64 = points[b].coords().iter().sum();
-        cmp_f64(sa, sb).then(a.cmp(&b))
+        cmp_f64(sa, sb)
+            .then_with(|| lex_cmp(points[a].coords(), points[b].coords()))
+            .then(a.cmp(&b))
     });
     let mut skyline: Vec<usize> = Vec::new();
     'outer: for &i in &order {
@@ -75,6 +99,26 @@ mod tests {
             Point::xy(16.0, 80.0),
         ];
         assert_eq!(sfs_skyline(&cars), vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn sum_tie_in_f64_keeps_the_dominator_first() {
+        // Both sums round to 1e16; (1e16, 0) dominates (1e16, 1).
+        let pts = vec![Point::xy(1e16, 1.0), Point::xy(1e16, 0.0)];
+        assert_eq!(bnl_skyline(&pts), vec![1]);
+        assert_eq!(sfs_skyline(&pts), vec![1]);
+    }
+
+    #[test]
+    fn signed_zeros_are_equal_in_the_tie_break() {
+        // Sums tie at 1e16 and (0, 1e16, 0) dominates (-0, 1e16, 1): the
+        // tie-break must see 0.0 and -0.0 as equal to put it first.
+        let pts = vec![
+            Point::new(vec![-0.0, 1e16, 1.0]),
+            Point::new(vec![0.0, 1e16, 0.0]),
+        ];
+        assert_eq!(bnl_skyline(&pts), vec![1]);
+        assert_eq!(sfs_skyline(&pts), vec![1]);
     }
 
     #[test]

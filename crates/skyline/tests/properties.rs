@@ -16,8 +16,28 @@ fn arb_points(max_n: usize, dim: usize) -> impl Strategy<Value = Vec<Point>> {
     )
 }
 
+/// Coordinates `k·1e16 + j` for `k ∈ {−1, 0, 1}` and a small integer
+/// `j`: near 1e16 the f64 spacing is 2, so the coordinate sums of a
+/// dominator and its victim often round to the same value.
+fn arb_large_points(max_n: usize, dim: usize) -> impl Strategy<Value = Vec<Point>> {
+    let coord = (0u32..3, 0u32..4).prop_map(|(k, j)| (f64::from(k) - 1.0) * 1e16 + f64::from(j));
+    prop::collection::vec(
+        prop::collection::vec(coord, dim).prop_map(Point::new),
+        1..max_n,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn bnl_and_sfs_agree_at_large_magnitudes(
+        pts in arb_large_points(60, 2),
+        pts3 in arb_large_points(60, 3),
+    ) {
+        prop_assert_eq!(bnl_skyline(&pts), sfs_skyline(&pts));
+        prop_assert_eq!(bnl_skyline(&pts3), sfs_skyline(&pts3));
+    }
 
     #[test]
     fn all_four_static_algorithms_agree(pts in arb_points(120, 2)) {

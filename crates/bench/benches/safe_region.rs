@@ -19,7 +19,7 @@ use wnrs_core::{exact_safe_region_with, Parallelism};
 use wnrs_data::workload::QueryWorkload;
 use wnrs_geometry::{Point, Rect};
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{RTree, RTreeConfig};
+use wnrs_rtree::{into_ok, RTree, RTreeConfig};
 
 const SEED: u64 = 20_130_408;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -50,9 +50,9 @@ fn bench_safe_region(c: &mut Criterion) {
             let id = BenchmarkId::new(format!("n{n}_rsl{}", query.rsl_size()), threads);
             group.bench_with_input(id, &par, |bench, par| {
                 bench.iter(|| {
-                    black_box(exact_safe_region_with(
+                    black_box(into_ok(exact_safe_region_with(
                         &tree, &query.rsl, &universe, true, par,
-                    ))
+                    )))
                 })
             });
         }

@@ -22,7 +22,7 @@ use wnrs_bench::{make_dataset, DatasetKind};
 use wnrs_core::safe_region::ApproxDslStore;
 use wnrs_core::Parallelism;
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{ItemId, RTreeConfig};
+use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
 use wnrs_skyline::{bbs_dynamic_skyline_excluding, bbs_dynamic_skyline_scratch, BbsScratch};
 
 const SEED: u64 = 20_130_408;
@@ -97,7 +97,12 @@ fn run() {
         let clock = Instant::now();
         let mut total = 0usize;
         for (i, p) in points.iter().take(queries).enumerate() {
-            bbs_dynamic_skyline_scratch(&tree, p.coords(), Some(ItemId(i as u32)), &mut scratch);
+            into_ok(bbs_dynamic_skyline_scratch(
+                &tree,
+                p.coords(),
+                Some(ItemId(i as u32)),
+                &mut scratch,
+            ));
             total += scratch.len();
         }
         let scratch_secs = clock.elapsed().as_secs_f64();

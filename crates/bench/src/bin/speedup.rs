@@ -21,7 +21,7 @@ use wnrs_core::{exact_safe_region_with, Parallelism};
 use wnrs_data::workload::QueryWorkload;
 use wnrs_geometry::Rect;
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::RTreeConfig;
+use wnrs_rtree::{into_ok, RTreeConfig};
 
 const SEED: u64 = 20_130_408;
 
@@ -75,9 +75,9 @@ fn run() {
             let secs = (0..5)
                 .map(|_| {
                     let clock = Instant::now();
-                    std::hint::black_box(exact_safe_region_with(
+                    std::hint::black_box(into_ok(exact_safe_region_with(
                         &tree, &query.rsl, &universe, true, &par,
-                    ));
+                    )));
                     clock.elapsed().as_secs_f64()
                 })
                 .fold(f64::INFINITY, f64::min);

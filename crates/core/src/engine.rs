@@ -23,10 +23,10 @@ use wnrs_geometry::{
 };
 use wnrs_reverse_skyline::{
     bbrs_reverse_skyline, is_reverse_skyline_member, is_reverse_skyline_member_with, window_query,
-    window_query_into,
+    window_query_with,
 };
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{ItemId, RTree, RTreeConfig, WindowScratch};
+use wnrs_rtree::{into_ok, ItemId, RTree, RTreeConfig, WindowScratch};
 use wnrs_skyline::approx::{approx_dsl_sample_into, ApproxDslScratch};
 use wnrs_skyline::bbs_dynamic_skyline_excluding;
 
@@ -545,7 +545,7 @@ impl WhyNotEngine {
                 culprits: (*lambda).clone(),
             };
         }
-        explain(&self.tree, self.point(id), q, Some(id))
+        into_ok(explain(&self.tree, self.point(id), q, Some(id)))
     }
 
     /// Algorithm 1 (MWP) for dataset customer `id`.
@@ -572,7 +572,7 @@ impl WhyNotEngine {
         if let Some(cache) = &self.cache {
             let _span = wnrs_obs::span!("mwp");
             let lambda = self.lambda_for(cache, id, q);
-            return modify_why_not_point_with_lambda(
+            return into_ok(modify_why_not_point_with_lambda(
                 &self.tree,
                 self.point(id),
                 q,
@@ -580,21 +580,23 @@ impl WhyNotEngine {
                 Some(id),
                 &self.cost,
                 self.eps,
-            );
+            ));
         }
-        modify_why_not_point(
+        into_ok(modify_why_not_point(
             &self.tree,
             self.point(id),
             q,
             Some(id),
             &self.cost,
             self.eps,
-        )
+        ))
     }
 
     /// Algorithm 1 (MWP) for an external (bichromatic) customer.
     pub fn mwp_external(&self, c_t: &Point, q: &Point) -> MwpAnswer {
-        modify_why_not_point(&self.tree, c_t, q, None, &self.cost, self.eps)
+        into_ok(modify_why_not_point(
+            &self.tree, c_t, q, None, &self.cost, self.eps,
+        ))
     }
 
     /// Algorithm 2 (MQP) for dataset customer `id`.
@@ -622,7 +624,7 @@ impl WhyNotEngine {
         if let Some(cache) = &self.cache {
             let _span = wnrs_obs::span!("mqp");
             let lambda = self.lambda_for(cache, id, q);
-            return modify_query_point_with_lambda(
+            return into_ok(modify_query_point_with_lambda(
                 &self.tree,
                 self.point(id),
                 q,
@@ -630,21 +632,23 @@ impl WhyNotEngine {
                 Some(id),
                 &self.cost,
                 self.eps,
-            );
+            ));
         }
-        modify_query_point(
+        into_ok(modify_query_point(
             &self.tree,
             self.point(id),
             q,
             Some(id),
             &self.cost,
             self.eps,
-        )
+        ))
     }
 
     /// Algorithm 2 (MQP) for an external customer.
     pub fn mqp_external(&self, c_t: &Point, q: &Point) -> MqpAnswer {
-        modify_query_point(&self.tree, c_t, q, None, &self.cost, self.eps)
+        into_ok(modify_query_point(
+            &self.tree, c_t, q, None, &self.cost, self.eps,
+        ))
     }
 
     /// Algorithm 3: the exact safe region of `q`. Computes `RSL(q)`
@@ -705,13 +709,13 @@ impl WhyNotEngine {
                 .region
                 .clone();
         }
-        exact_safe_region_with(
+        into_ok(exact_safe_region_with(
             &self.tree,
             rsl,
             &self.universe_for(q),
             true,
             &self.parallelism,
-        )
+        ))
     }
 
     /// Builds the offline approximate-DSL store (Section VI-B.1).
@@ -861,7 +865,7 @@ impl WhyNotEngine {
             return modify_both_parts(sr, self.point(id), q, &self.cost, &addr, self.eps, |at| {
                 let _span = wnrs_obs::span!("mwp");
                 let lambda = self.lambda_for(cache, id, at);
-                modify_why_not_point_with_lambda(
+                into_ok(modify_why_not_point_with_lambda(
                     &self.tree,
                     self.point(id),
                     at,
@@ -869,10 +873,10 @@ impl WhyNotEngine {
                     Some(id),
                     &self.cost,
                     self.eps,
-                )
+                ))
             });
         }
-        modify_both(
+        into_ok(modify_both(
             &self.tree,
             sr,
             self.point(id),
@@ -881,12 +885,12 @@ impl WhyNotEngine {
             &self.cost,
             &self.universe_for(q),
             self.eps,
-        )
+        ))
     }
 
     /// Algorithm 4 (MWQ) for an external customer.
     pub fn mwq_external(&self, c_t: &Point, q: &Point, sr: &Region) -> MwqAnswer {
-        modify_both(
+        into_ok(modify_both(
             &self.tree,
             sr,
             c_t,
@@ -895,7 +899,7 @@ impl WhyNotEngine {
             &self.cost,
             &self.universe_for(q),
             self.eps,
-        )
+        ))
     }
 
     /// End-to-end convenience: compute the safe region and run MWQ.
@@ -948,21 +952,18 @@ impl WhyNotEngine {
         }
         map_range_chunked(ids.len(), &self.parallelism, |range| {
             let mut scratch = WindowScratch::new();
-            let mut out: Vec<(ItemId, Point)> = Vec::new();
             let mut chunk = Vec::with_capacity(range.len());
             for i in range {
                 let _span = wnrs_obs::span!("explain");
                 let id = ids[i];
-                window_query_into(
-                    &self.tree,
-                    self.point(id),
-                    q,
-                    Some(id),
-                    &mut scratch,
-                    &mut out,
-                );
                 chunk.push(Explanation {
-                    culprits: out.clone(),
+                    culprits: into_ok(window_query_with(
+                        &self.tree,
+                        self.point(id),
+                        q,
+                        Some(id),
+                        &mut scratch,
+                    )),
                 });
             }
             chunk
@@ -1095,13 +1096,13 @@ impl WriteProbes for EngineWriteProbes<'_> {
             // other product dynamically dominates it w.r.t. c. (On
             // insert `p` is in the tree but cannot dominate itself; on
             // delete it is already out.)
-            is_reverse_skyline_member_with(
+            into_ok(is_reverse_skyline_member_with(
                 self.tree,
                 &self.points[id as usize],
                 &self.points[self.id as usize],
                 Some(ItemId(id)),
                 &mut self.scratch,
-            )
+            ))
         } else {
             true
         };
@@ -1115,13 +1116,13 @@ impl WriteProbes for EngineWriteProbes<'_> {
             return v;
         }
         let v = if self.charge() {
-            is_reverse_skyline_member_with(
+            into_ok(is_reverse_skyline_member_with(
                 self.tree,
                 &self.points[self.id as usize],
                 q,
                 Some(ItemId(self.id)),
                 &mut self.scratch,
-            )
+            ))
         } else {
             true
         };
@@ -1162,13 +1163,13 @@ impl WriteProbes for EngineWriteProbes<'_> {
                     continue;
                 }
                 if !self.charge()
-                    || is_reverse_skyline_member_with(
+                    || into_ok(is_reverse_skyline_member_with(
                         tree,
                         c,
                         q,
                         Some(ItemId(cid)),
                         &mut self.scratch,
-                    )
+                    ))
                 {
                     admits = true;
                     break;

@@ -17,7 +17,7 @@ use crate::mwp::modify_why_not_point;
 use wnrs_geometry::parallel::map_slice;
 use wnrs_geometry::{cmp_f64, Point, Region};
 use wnrs_reverse_skyline::is_reverse_skyline_member;
-use wnrs_rtree::ItemId;
+use wnrs_rtree::{into_ok, ItemId};
 
 /// Quality scores of the three methods on one why-not question.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,14 +71,14 @@ pub fn score_mqp(
             continue;
         }
         if !is_reverse_skyline_member(engine.tree(), c, &q_star, Some(*cid)) {
-            let repair = modify_why_not_point(
+            let repair = into_ok(modify_why_not_point(
                 engine.tree(),
                 c,
                 &q_star,
                 Some(*cid),
                 engine.cost_model(),
                 crate::engine::DEFAULT_EPS,
-            );
+            ));
             total += repair.best_cost();
         }
     }

@@ -1,8 +1,8 @@
 //! Aspect 1: explaining *why* the customer is missing.
 
 use wnrs_geometry::Point;
-use wnrs_reverse_skyline::window_query;
-use wnrs_rtree::{ItemId, RTree};
+use wnrs_reverse_skyline::window_query_with;
+use wnrs_rtree::{ItemId, NodeSource, WindowScratch};
 
 /// The answer to "why is `c_t` not in `RSL(q)`?": the products the
 /// customer finds more interesting than `q`.
@@ -23,18 +23,27 @@ impl Explanation {
 
 /// Computes the explanation (Section III, first aspect): deleting every
 /// culprit from `P` would admit `c_t` into `RSL(q)` (Lemma 1).
-pub fn explain(products: &RTree, c_t: &Point, q: &Point, exclude: Option<ItemId>) -> Explanation {
+///
+/// # Errors
+///
+/// Returns the index's error when a node read fails.
+pub fn explain<S: NodeSource>(
+    products: &S,
+    c_t: &Point,
+    q: &Point,
+    exclude: Option<ItemId>,
+) -> Result<Explanation, S::Error> {
     let _span = wnrs_obs::span!("explain");
-    Explanation {
-        culprits: window_query(products, c_t, q, exclude),
-    }
+    Ok(Explanation {
+        culprits: window_query_with(products, c_t, q, exclude, &mut WindowScratch::new())?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wnrs_rtree::bulk::bulk_load;
-    use wnrs_rtree::RTreeConfig;
+    use wnrs_rtree::{into_ok, RTreeConfig};
 
     #[test]
     fn paper_example_c1_prefers_p2() {
@@ -48,7 +57,12 @@ mod tests {
             Point::xy(16.0, 80.0), // p8
         ];
         let tree = bulk_load(&products, RTreeConfig::with_max_entries(4));
-        let ex = explain(&tree, &Point::xy(5.0, 30.0), &Point::xy(8.5, 55.0), None);
+        let ex = into_ok(explain(
+            &tree,
+            &Point::xy(5.0, 30.0),
+            &Point::xy(8.5, 55.0),
+            None,
+        ));
         assert!(!ex.is_member());
         assert_eq!(ex.culprits.len(), 1);
         assert!(ex.culprits[0].1.same_location(&Point::xy(7.5, 42.0)));
@@ -58,7 +72,12 @@ mod tests {
     fn member_has_empty_explanation() {
         let products = vec![Point::xy(90.0, 90.0)];
         let tree = bulk_load(&products, RTreeConfig::with_max_entries(4));
-        let ex = explain(&tree, &Point::xy(10.0, 10.0), &Point::xy(12.0, 12.0), None);
+        let ex = into_ok(explain(
+            &tree,
+            &Point::xy(10.0, 10.0),
+            &Point::xy(12.0, 12.0),
+            None,
+        ));
         assert!(ex.is_member());
     }
 }

@@ -21,7 +21,7 @@ use crate::mwq::MwqAnswer;
 use crate::safe_region::anti_ddr_of;
 use wnrs_geometry::parallel::map_slice;
 use wnrs_geometry::{Point, Rect, Region};
-use wnrs_rtree::ItemId;
+use wnrs_rtree::{into_ok, ItemId};
 
 /// Clips a safe region to explicit feature bounds. The result remains
 /// safe (it is a subset); it may be empty if the bounds exclude the
@@ -54,7 +54,7 @@ pub fn expand_safe_region(
     let regions: Vec<(ItemId, Region)> = map_slice(rsl, engine.parallelism(), |(id, c)| {
         (
             *id,
-            anti_ddr_of(engine.tree(), c, Some(*id), &universe, 0.0),
+            into_ok(anti_ddr_of(engine.tree(), c, Some(*id), &universe, 0.0)),
         )
     });
 

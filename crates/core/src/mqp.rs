@@ -13,12 +13,12 @@
 //! limit points, verified with an ε-nudge.
 
 use crate::answer::{finish_candidates, Candidate};
-use crate::verify::limit_verified_query_by;
+use crate::verify::{limit_verified_query_by, FirstError};
 use wnrs_geometry::kernels::dominates_raw;
 use wnrs_geometry::stats::record_dominance_tests;
 use wnrs_geometry::{abs_diff_into, cmp_f64, CostModel, Point};
-use wnrs_reverse_skyline::{is_reverse_skyline_member, window_query};
-use wnrs_rtree::{ItemId, RTree};
+use wnrs_reverse_skyline::{is_reverse_skyline_member_with, window_query_with};
+use wnrs_rtree::{ItemId, NodeSource, WindowScratch};
 
 /// The result of Algorithm 2.
 #[derive(Debug, Clone)]
@@ -73,34 +73,48 @@ fn evict_dominated(rows: &mut Vec<f64>, t: &[f64]) -> u64 {
 /// Runs Algorithm 2: all minimal candidate locations for `q*`, cheapest
 /// first. `exclude` removes the customer's own tuple from the product
 /// set; `eps` is the verification nudge.
-pub fn modify_query_point(
-    products: &RTree,
+///
+/// # Errors
+///
+/// Returns the index's error when a node read fails.
+pub fn modify_query_point<S: NodeSource>(
+    products: &S,
     c_t: &Point,
     q: &Point,
     exclude: Option<ItemId>,
     cost: &CostModel,
     eps: f64,
-) -> MqpAnswer {
+) -> Result<MqpAnswer, S::Error> {
     let _span = wnrs_obs::span!("mqp");
-    let lambda = window_query(products, c_t, q, exclude);
+    let lambda = window_query_with(products, c_t, q, exclude, &mut WindowScratch::new())?;
     modify_query_point_with_lambda(products, c_t, q, &lambda, exclude, cost, eps)
 }
 
 /// As [`modify_query_point`] against a precomputed culprit window
 /// `Λ = window_query(c_t, q)` (shared with `explain`/MWP by the
 /// cross-query cache). The index is still needed for verification.
-pub fn modify_query_point_with_lambda(
-    products: &RTree,
+///
+/// # Errors
+///
+/// Returns the index's error when a verification probe fails.
+pub fn modify_query_point_with_lambda<S: NodeSource>(
+    products: &S,
     c_t: &Point,
     q: &Point,
     lambda: &[(ItemId, Point)],
     exclude: Option<ItemId>,
     cost: &CostModel,
     eps: f64,
-) -> MqpAnswer {
-    modify_query_point_core(c_t, q, lambda, cost, eps, &mut |c, at| {
-        is_reverse_skyline_member(products, c, at, exclude)
-    })
+) -> Result<MqpAnswer, S::Error> {
+    let mut scratch = WindowScratch::new();
+    let failed = FirstError::new();
+    let ans = modify_query_point_core(c_t, q, lambda, cost, eps, &mut |c, at| {
+        failed.run(
+            || is_reverse_skyline_member_with(products, c, at, exclude, &mut scratch),
+            || false,
+        )
+    });
+    failed.finish(ans)
 }
 
 /// Index-agnostic core of Algorithm 2: the candidate construction uses
@@ -215,7 +229,7 @@ mod tests {
     use super::*;
     use wnrs_geometry::Weights;
     use wnrs_rtree::bulk::bulk_load;
-    use wnrs_rtree::RTreeConfig;
+    use wnrs_rtree::{into_ok, RTreeConfig};
 
     fn paper_products() -> Vec<Point> {
         vec![
@@ -238,14 +252,14 @@ mod tests {
         // Section V-A example: c1 (5, 30), q (8.5, 55) ⇒ candidates
         // {(8.5, 42), (7.5, 55)}.
         let tree = bulk_load(&paper_products(), RTreeConfig::with_max_entries(4));
-        let ans = modify_query_point(
+        let ans = into_ok(modify_query_point(
             &tree,
             &Point::xy(5.0, 30.0),
             &Point::xy(8.5, 55.0),
             None,
             &unit_cost(),
             1e-9,
-        );
+        ));
         let pts: Vec<&Point> = ans.candidates.iter().map(|c| &c.point).collect();
         assert!(
             pts.iter().any(|p| p.approx_eq(&Point::xy(8.5, 42.0), 1e-9)),
@@ -266,14 +280,14 @@ mod tests {
         let q = Point::xy(8.5, 55.0);
         // c2 (7.5, 42) has an empty window w.r.t. a product set without
         // p2; use the monochromatic exclusion instead.
-        let ans = modify_query_point(
+        let ans = into_ok(modify_query_point(
             &tree,
             &Point::xy(7.5, 42.0),
             &q,
             Some(ItemId(0)),
             &unit_cost(),
             1e-9,
-        );
+        ));
         assert_eq!(ans.best_cost(), 0.0);
         assert!(ans.best().point.same_location(&q));
     }
@@ -290,7 +304,7 @@ mod tests {
         let cost = unit_cost();
         let q = Point::xy(47.0, 57.0);
         for c_t in pts.iter().step_by(13) {
-            let ans = modify_query_point(&tree, c_t, &q, None, &cost, 1e-9);
+            let ans = into_ok(modify_query_point(&tree, c_t, &q, None, &cost, 1e-9));
             for cand in &ans.candidates {
                 assert!(cand.verified, "candidate {:?} for c_t {c_t:?}", cand.point);
             }
@@ -312,7 +326,14 @@ mod tests {
         let tree = bulk_load(&products, RTreeConfig::paper_default(2));
         let c_t = Point::xy(5.3, 5.7);
         let q = Point::xy(14.1, 13.2);
-        let ans = modify_query_point(&tree, &c_t, &q, None, &unit_cost(), 1e-9);
+        let ans = into_ok(modify_query_point(
+            &tree,
+            &c_t,
+            &q,
+            None,
+            &unit_cost(),
+            1e-9,
+        ));
         assert!(!ans.candidates.is_empty());
         assert!(ans.candidates.iter().any(|c| c.point.approx_eq(&c_t, 1e-6)));
     }
@@ -324,7 +345,14 @@ mod tests {
         let tree = bulk_load(&products, RTreeConfig::with_max_entries(4));
         let c_t = Point::xy(30.0, 40.0);
         let q = Point::xy(5.0, 10.0);
-        let ans = modify_query_point(&tree, &c_t, &q, None, &unit_cost(), 1e-9);
+        let ans = into_ok(modify_query_point(
+            &tree,
+            &c_t,
+            &q,
+            None,
+            &unit_cost(),
+            1e-9,
+        ));
         assert!(ans.candidates.iter().all(|c| c.verified));
         // Blocker transformed: (10, 15); q transformed: (25, 30).
         // Axis candidates: (c_t.x − 10 = 20, 10) and (5, 40 − 15 = 25).
@@ -346,14 +374,14 @@ mod tests {
         let tree = bulk_load(&products, RTreeConfig::with_max_entries(4));
         let c_t = Point::new(vec![30.0, 30.0, 30.0]);
         let q = Point::new(vec![55.0, 55.0, 55.0]);
-        let ans = modify_query_point(
+        let ans = into_ok(modify_query_point(
             &tree,
             &c_t,
             &q,
             None,
             &CostModel::new(Weights::equal(3), Weights::equal(3)),
             1e-9,
-        );
+        ));
         assert!(ans.candidates.iter().all(|c| c.verified));
         // Lower one transformed coordinate from 25 to 10: q* like
         // (40, 55, 55).

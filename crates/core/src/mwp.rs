@@ -16,12 +16,11 @@
 //! engine's [`CostModel`].
 
 use crate::answer::{finish_candidates, Candidate};
-use crate::verify::limit_verified_whynot_by;
+use crate::verify::{limit_verified_whynot_by, FirstError};
 use std::cmp::Ordering;
 use wnrs_geometry::{cmp_f64, CostModel, Point};
-use wnrs_reverse_skyline::is_reverse_skyline_member;
-use wnrs_reverse_skyline::window_query;
-use wnrs_rtree::{ItemId, RTree};
+use wnrs_reverse_skyline::{is_reverse_skyline_member_with, window_query_with};
+use wnrs_rtree::{ItemId, NodeSource, WindowScratch};
 
 /// The result of Algorithm 1.
 #[derive(Debug, Clone)]
@@ -88,16 +87,20 @@ fn push_stair(stairs: &mut Vec<(f64, f64)>, p: (f64, f64)) {
 /// `exclude` removes the customer's own tuple from the product set
 /// (monochromatic setting). The `eps` nudge is used for verification
 /// only; reported candidates are the exact limit points.
-pub fn modify_why_not_point(
-    products: &RTree,
+///
+/// # Errors
+///
+/// Returns the index's error when a node read fails.
+pub fn modify_why_not_point<S: NodeSource>(
+    products: &S,
     c_t: &Point,
     q: &Point,
     exclude: Option<ItemId>,
     cost: &CostModel,
     eps: f64,
-) -> MwpAnswer {
+) -> Result<MwpAnswer, S::Error> {
     let _span = wnrs_obs::span!("mwp");
-    let lambda = window_query(products, c_t, q, exclude);
+    let lambda = window_query_with(products, c_t, q, exclude, &mut WindowScratch::new())?;
     modify_why_not_point_with_lambda(products, c_t, q, &lambda, exclude, cost, eps)
 }
 
@@ -105,18 +108,28 @@ pub fn modify_why_not_point(
 /// `Λ = window_query(c_t, q)` (the cross-query cache shares one window
 /// result between `explain`, MWP and MQP). The index is still needed
 /// for candidate verification.
-pub fn modify_why_not_point_with_lambda(
-    products: &RTree,
+///
+/// # Errors
+///
+/// Returns the index's error when a verification probe fails.
+pub fn modify_why_not_point_with_lambda<S: NodeSource>(
+    products: &S,
     c_t: &Point,
     q: &Point,
     lambda: &[(ItemId, Point)],
     exclude: Option<ItemId>,
     cost: &CostModel,
     eps: f64,
-) -> MwpAnswer {
-    modify_why_not_point_core(c_t, q, lambda, cost, eps, &mut |c, at| {
-        is_reverse_skyline_member(products, c, at, exclude)
-    })
+) -> Result<MwpAnswer, S::Error> {
+    let mut scratch = WindowScratch::new();
+    let failed = FirstError::new();
+    let ans = modify_why_not_point_core(c_t, q, lambda, cost, eps, &mut |c, at| {
+        failed.run(
+            || is_reverse_skyline_member_with(products, c, at, exclude, &mut scratch),
+            || false,
+        )
+    });
+    failed.finish(ans)
 }
 
 /// Index-agnostic core of Algorithm 1: the candidate construction uses
@@ -249,7 +262,7 @@ mod tests {
     use super::*;
     use wnrs_geometry::Weights;
     use wnrs_rtree::bulk::bulk_load;
-    use wnrs_rtree::RTreeConfig;
+    use wnrs_rtree::{into_ok, RTreeConfig};
 
     fn paper_products() -> Vec<Point> {
         vec![
@@ -272,14 +285,14 @@ mod tests {
         // Section IV example: c1 (5, 30), q (8.5, 55) ⇒ candidates
         // {(5, 48.5), (8, 30)}.
         let tree = bulk_load(&paper_products(), RTreeConfig::with_max_entries(4));
-        let ans = modify_why_not_point(
+        let ans = into_ok(modify_why_not_point(
             &tree,
             &Point::xy(5.0, 30.0),
             &Point::xy(8.5, 55.0),
             None,
             &unit_cost(),
             1e-9,
-        );
+        ));
         let pts: Vec<&Point> = ans.candidates.iter().map(|c| &c.point).collect();
         assert!(
             pts.iter().any(|p| p.approx_eq(&Point::xy(5.0, 48.5), 1e-9)),
@@ -303,7 +316,14 @@ mod tests {
         // the bichromatic reading it is a *product*; keep it and pick a
         // clearly-member point instead: q itself).
         let q = Point::xy(8.5, 55.0);
-        let ans = modify_why_not_point(&tree, &q, &q, None, &unit_cost(), 1e-9);
+        let ans = into_ok(modify_why_not_point(
+            &tree,
+            &q,
+            &q,
+            None,
+            &unit_cost(),
+            1e-9,
+        ));
         assert_eq!(ans.best_cost(), 0.0);
         assert!(ans.best().point.same_location(&q));
     }
@@ -321,7 +341,7 @@ mod tests {
         let q = Point::xy(52.0, 49.0);
         let mut tested = 0;
         for c_t in pts.iter().step_by(17) {
-            let ans = modify_why_not_point(&tree, c_t, &q, None, &cost, 1e-9);
+            let ans = into_ok(modify_why_not_point(&tree, c_t, &q, None, &cost, 1e-9));
             for cand in &ans.candidates {
                 assert!(
                     cand.verified,
@@ -348,7 +368,14 @@ mod tests {
         let c_t = Point::xy(3.0, 3.0);
         let q = Point::xy(5.0, 5.0);
         // |c_t − p| = (1,1) ≤ (2,2) = |c_t − q| with strict ⇒ p blocks.
-        let ans = modify_why_not_point(&tree, &c_t, &q, None, &unit_cost(), 1e-9);
+        let ans = into_ok(modify_why_not_point(
+            &tree,
+            &c_t,
+            &q,
+            None,
+            &unit_cost(),
+            1e-9,
+        ));
         assert!(ans.best_cost() > 0.0);
         for cand in &ans.candidates {
             assert!(cand.verified);
@@ -362,7 +389,14 @@ mod tests {
         let tree = bulk_load(&products, RTreeConfig::with_max_entries(4));
         let c_t = Point::xy(60.0, 70.0);
         let q = Point::xy(30.0, 30.0);
-        let ans = modify_why_not_point(&tree, &c_t, &q, None, &unit_cost(), 1e-9);
+        let ans = into_ok(modify_why_not_point(
+            &tree,
+            &c_t,
+            &q,
+            None,
+            &unit_cost(),
+            1e-9,
+        ));
         assert!(ans.best_cost() > 0.0);
         assert!(ans.candidates.iter().all(|c| c.verified));
         // The midpoint thresholds: m = ((30+40)/2, (30+45)/2) = (35, 37.5);
@@ -392,7 +426,14 @@ mod tests {
         let tree = bulk_load(&products, RTreeConfig::with_max_entries(4));
         let c_t = Point::xy(30.0, 30.0);
         let q = Point::xy(50.0, 50.0);
-        let ans = modify_why_not_point(&tree, &c_t, &q, None, &unit_cost(), 1e-9);
+        let ans = into_ok(modify_why_not_point(
+            &tree,
+            &c_t,
+            &q,
+            None,
+            &unit_cost(),
+            1e-9,
+        ));
         assert!(ans.candidates.len() >= 3, "got {:?}", ans.candidates);
         assert!(ans.candidates.iter().all(|c| c.verified));
         // Inner corners are cheaper than pure axis moves here.
@@ -410,14 +451,14 @@ mod tests {
         let tree = bulk_load(&products, RTreeConfig::with_max_entries(4));
         let c_t = Point::new(vec![30.0, 30.0, 30.0]);
         let q = Point::new(vec![50.0, 50.0, 50.0]);
-        let ans = modify_why_not_point(
+        let ans = into_ok(modify_why_not_point(
             &tree,
             &c_t,
             &q,
             None,
             &CostModel::new(Weights::equal(3), Weights::equal(3)),
             1e-9,
-        );
+        ));
         assert!(ans.candidates.iter().all(|c| c.verified));
         // Escaping via any one axis at the midpoint 45.
         assert!(ans

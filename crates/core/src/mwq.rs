@@ -14,8 +14,9 @@
 use crate::answer::Candidate;
 use crate::mwp::{modify_why_not_point, MwpAnswer};
 use crate::safe_region::anti_ddr_of;
+use crate::verify::FirstError;
 use wnrs_geometry::{cmp_f64, dominates_dyn, CostModel, Point, Rect, Region};
-use wnrs_rtree::{ItemId, RTree};
+use wnrs_rtree::{ItemId, NodeSource};
 
 /// Which case of Table I applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +46,14 @@ pub struct MwqAnswer {
 /// `exclude` removes the why-not customer's own tuple from the product
 /// set; `universe` bounds the anti-dominance decomposition; `eps` is the
 /// verification nudge passed through to Algorithm 1.
+///
+/// # Errors
+///
+/// Returns the index's error when a node read fails, never an answer
+/// built around the failed repair.
 #[allow(clippy::too_many_arguments)]
-pub fn modify_both(
-    products: &RTree,
+pub fn modify_both<S: NodeSource>(
+    products: &S,
     sr: &Region,
     c_t: &Point,
     q: &Point,
@@ -55,7 +61,7 @@ pub fn modify_both(
     cost: &CostModel,
     universe: &Rect,
     eps: f64,
-) -> MwqAnswer {
+) -> Result<MwqAnswer, S::Error> {
     let _span = wnrs_obs::span!("mwq");
     // Both the anti-dominance region and the safe region are *closed*
     // representations whose outer boundaries contain tie points: a query
@@ -64,10 +70,23 @@ pub fn modify_both(
     // the verification ε restricts the search to their strictly-valid
     // interiors, so every returned q* is strictly safe — not merely a
     // limit point.
-    let addr = anti_ddr_of(products, c_t, exclude, universe, eps);
-    modify_both_parts(sr, c_t, q, cost, &addr, eps, |at| {
-        modify_why_not_point(products, c_t, at, exclude, cost, eps)
-    })
+    let addr = anti_ddr_of(products, c_t, exclude, universe, eps)?;
+    // After a failed repair the remaining corners get an infinite-cost
+    // stand-in, which keeps the search moving and can never win.
+    let failed = FirstError::new();
+    let ans = modify_both_parts(sr, c_t, q, cost, &addr, eps, |at| {
+        failed.run(
+            || modify_why_not_point(products, c_t, at, exclude, cost, eps),
+            || MwpAnswer {
+                candidates: vec![Candidate {
+                    point: at.clone(),
+                    cost: f64::INFINITY,
+                    verified: false,
+                }],
+            },
+        )
+    });
+    failed.finish(ans)
 }
 
 /// The index-free core of Algorithm 4, parameterised over a
@@ -180,7 +199,7 @@ mod tests {
     use wnrs_geometry::Weights;
     use wnrs_reverse_skyline::{bbrs_reverse_skyline, is_reverse_skyline_member};
     use wnrs_rtree::bulk::bulk_load;
-    use wnrs_rtree::RTreeConfig;
+    use wnrs_rtree::{into_ok, RTree, RTreeConfig};
 
     fn paper_points() -> Vec<Point> {
         vec![
@@ -215,7 +234,7 @@ mod tests {
         // is {(7.5, 60), (10, 70)} and q* = (8.5, 60).
         let (tree, sr, universe, q) = setup();
         let c7 = Point::xy(26.0, 70.0);
-        let ans = modify_both(
+        let ans = into_ok(modify_both(
             &tree,
             &sr,
             &c7,
@@ -224,7 +243,7 @@ mod tests {
             &unit_cost(),
             &universe,
             1e-9,
-        );
+        ));
         assert_eq!(ans.case, MwqCase::Overlap);
         assert_eq!(ans.cost, 0.0);
         assert!(ans.c_star.is_none());
@@ -250,7 +269,16 @@ mod tests {
         let (tree, sr, universe, q) = setup();
         let c1 = Point::xy(5.0, 30.0);
         let cost = unit_cost();
-        let ans = modify_both(&tree, &sr, &c1, &q, Some(ItemId(0)), &cost, &universe, 1e-9);
+        let ans = into_ok(modify_both(
+            &tree,
+            &sr,
+            &c1,
+            &q,
+            Some(ItemId(0)),
+            &cost,
+            &universe,
+            1e-9,
+        ));
         assert_eq!(ans.case, MwqCase::Disjoint);
         assert!(ans.cost > 0.0);
         let c_star = ans.c_star.clone().expect("case C2 repairs the customer");
@@ -261,14 +289,14 @@ mod tests {
         // set additionally keeps q itself, whose repair (8, 30) costs
         // only |Δ| = 3 — so the answer must be at least as cheap as the
         // paper's.
-        let paper_repair = modify_why_not_point(
+        let paper_repair = into_ok(modify_why_not_point(
             &tree,
             &c1,
             &Point::xy(7.5, 50.0),
             Some(ItemId(0)),
             &cost,
             1e-9,
-        );
+        ));
         assert!(
             paper_repair
                 .candidates
@@ -281,7 +309,14 @@ mod tests {
         // candidate). Here the ε-interior corner near (7.5, 50) actually
         // *beats* MWP: just inside the tie boundary, the cheap
         // price-dimension escape is available again.
-        let mwp = modify_why_not_point(&tree, &c1, &q, Some(ItemId(0)), &cost, 1e-9);
+        let mwp = into_ok(modify_why_not_point(
+            &tree,
+            &c1,
+            &q,
+            Some(ItemId(0)),
+            &cost,
+            1e-9,
+        ));
         assert!(ans.cost <= mwp.best_cost() + 1e-12);
         // The chosen q* stays within the safe region.
         assert!(sr.contains(&ans.q_star) || ans.q_star.same_location(&q));
@@ -305,8 +340,10 @@ mod tests {
             if is_reverse_skyline_member(&tree, c_t, &q, exclude) {
                 continue;
             }
-            let mwq = modify_both(&tree, &sr, c_t, &q, exclude, &cost, &universe, 1e-9);
-            let mwp = modify_why_not_point(&tree, c_t, &q, exclude, &cost, 1e-9);
+            let mwq = into_ok(modify_both(
+                &tree, &sr, c_t, &q, exclude, &cost, &universe, 1e-9,
+            ));
+            let mwp = into_ok(modify_why_not_point(&tree, c_t, &q, exclude, &cost, 1e-9));
             assert!(
                 mwq.cost <= mwp.best_cost() + 1e-9,
                 "customer {i}: MWQ {} > MWP {}",
@@ -327,8 +364,24 @@ mod tests {
         let sr = Region::from_rect(Rect::degenerate(q.clone()));
         let c1 = Point::xy(5.0, 30.0);
         let cost = unit_cost();
-        let mwq = modify_both(&tree, &sr, &c1, &q, Some(ItemId(0)), &cost, &universe, 1e-9);
-        let mwp = modify_why_not_point(&tree, &c1, &q, Some(ItemId(0)), &cost, 1e-9);
+        let mwq = into_ok(modify_both(
+            &tree,
+            &sr,
+            &c1,
+            &q,
+            Some(ItemId(0)),
+            &cost,
+            &universe,
+            1e-9,
+        ));
+        let mwp = into_ok(modify_why_not_point(
+            &tree,
+            &c1,
+            &q,
+            Some(ItemId(0)),
+            &cost,
+            1e-9,
+        ));
         assert_eq!(mwq.case, MwqCase::Disjoint);
         assert!((mwq.cost - mwp.best_cost()).abs() < 1e-12);
         assert!(mwq.q_star.same_location(&q));

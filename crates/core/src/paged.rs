@@ -3,20 +3,19 @@
 //!
 //! [`crate::engine::WhyNotEngine`] assumes the dataset fits in memory
 //! twice over (an owned point arena plus the in-memory tree). At
-//! million-point scale that assumption breaks, so this module runs every
+//! million-point scale that assumption breaks, so this engine runs every
 //! query — reverse skyline, explanation, MWP, MQP, safe region and MWQ —
 //! end-to-end through a [`PagedRTree`] whose nodes live in a bounded
 //! [`wnrs_storage::BufferPool`]. Peak memory is the pool budget plus
 //! per-query scratch, independent of `n`.
 //!
-//! Answers are **bit-identical** to the uncached in-memory engine over
-//! the same tree structure (which both `wnrs_rtree::persist::save` and
-//! the streaming STR loader [`wnrs_rtree::bulk_load_stream`] produce):
-//! the paged window query and paged BBS visit entries in the identical
-//! order, the candidate construction delegates to the same index-free
-//! `*_core` functions, and the safe-region intersection performs the
-//! same sequential pairing as [`crate::safe_region::exact_safe_region`]
-//! under [`Parallelism::sequential`].
+//! Each query is one call into the same function the uncached in-memory
+//! engine calls, with the page-resident tree as the node source, so
+//! answers are **bit-identical** to that engine over the same tree
+//! structure (which both `wnrs_rtree::persist::save` and the streaming
+//! STR loader [`wnrs_rtree::bulk_load_stream`] produce) and a page-read
+//! failure surfaces as the query's error. The safe region runs under
+//! [`Parallelism::sequential`].
 //!
 //! Unlike the in-memory engine, customers are not held resident: query
 //! methods take the why-not customer's point (plus its item id for the
@@ -25,23 +24,18 @@
 //! `tree().pool().stats()` and, with the `obs` feature, the
 //! `pages_read_logical` counter.
 
-use crate::answer::Candidate;
-use crate::explain::Explanation;
-use crate::mqp::{modify_query_point_core, MqpAnswer};
-use crate::mwp::{modify_why_not_point_core, MwpAnswer};
-use crate::mwq::{modify_both_parts, MwqAnswer};
-use crate::safe_region::anti_ddr_from_dsl;
-use std::cell::RefCell;
-use wnrs_geometry::parallel::{intersect_all, Parallelism};
-use wnrs_geometry::{CostModel, Point, Rect, Region};
-use wnrs_reverse_skyline::{
-    paged_bbrs_reverse_skyline, paged_is_reverse_skyline_member, paged_window_query,
-    PagedMemberScratch,
-};
+use crate::engine::DEFAULT_EPS;
+use crate::explain::{explain, Explanation};
+use crate::mqp::{modify_query_point, MqpAnswer};
+use crate::mwp::{modify_why_not_point, MwpAnswer};
+use crate::mwq::{modify_both, MwqAnswer};
+use crate::safe_region::exact_safe_region_with;
+use wnrs_geometry::{CostModel, Parallelism, Point, Rect, Region};
+use wnrs_reverse_skyline::{is_reverse_skyline_member_with, reverse_skyline};
 use wnrs_rtree::paged::NodeBuf;
 use wnrs_rtree::persist::PersistError;
-use wnrs_rtree::{ItemId, PagedRTree};
-use wnrs_skyline::{paged_bbs_dynamic_skyline, PagedBbsScratch};
+use wnrs_rtree::{ItemId, NodeSource, NodeView, PagedRTree, WindowScratch};
+use wnrs_skyline::dynamic_skyline;
 use wnrs_storage::Pager;
 
 /// A why-not reverse-skyline engine over a page-resident tree.
@@ -75,7 +69,6 @@ pub struct PagedEngine<P: Pager> {
     tree: PagedRTree<P>,
     universe: Rect,
     cost: CostModel,
-    eps: f64,
 }
 
 impl<P: Pager> PagedEngine<P> {
@@ -89,36 +82,30 @@ impl<P: Pager> PagedEngine<P> {
     /// Returns an error when the root page cannot be read or decoded.
     pub fn from_tree(tree: PagedRTree<P>, cost: CostModel) -> Result<Self, PersistError> {
         let dim = tree.dim();
-        let universe = if tree.is_empty() {
-            Rect::degenerate(Point::new(vec![0.0; dim]))
-        } else {
-            let mut node = NodeBuf::new();
-            tree.read_node_into(tree.root_page(), &mut node)?;
-            let mut lo = vec![f64::INFINITY; dim];
-            let mut hi = vec![f64::NEG_INFINITY; dim];
-            for i in 0..node.len() {
-                for d in 0..dim {
-                    lo[d] = lo[d].min(node.lo(i)[d]);
-                    hi[d] = hi[d].max(node.hi(i)[d]);
+        let universe = match tree.root_node() {
+            None => Rect::degenerate(Point::new(vec![0.0; dim])),
+            Some((root, level)) => {
+                let mut buf = NodeBuf::new();
+                let node = tree.read_node(root, level, &mut buf)?;
+                if node.get(0).is_none() {
+                    return Err(PersistError::Format("empty root node".into()));
                 }
+                let mut lo = vec![f64::INFINITY; dim];
+                let mut hi = vec![f64::NEG_INFINITY; dim];
+                for (_, l, h) in node.iter() {
+                    for d in 0..dim {
+                        lo[d] = lo[d].min(l[d]);
+                        hi[d] = hi[d].max(h[d]);
+                    }
+                }
+                Rect::new(Point::new(lo), Point::new(hi))
             }
-            Rect::new(Point::new(lo), Point::new(hi))
         };
         Ok(Self {
             tree,
             universe,
             cost,
-            eps: crate::engine::DEFAULT_EPS,
         })
-    }
-
-    /// Replaces the verification nudge (default
-    /// [`crate::engine::DEFAULT_EPS`]).
-    #[must_use]
-    pub fn with_eps(mut self, eps: f64) -> Self {
-        assert!(eps >= 0.0, "eps must be non-negative");
-        self.eps = eps;
-        self
     }
 
     /// Replaces the cost model (e.g. to attach a normaliser fitted to
@@ -158,7 +145,7 @@ impl<P: Pager> PagedEngine<P> {
     ///
     /// Returns an error when a page read or decode fails.
     pub fn reverse_skyline(&self, q: &Point) -> Result<Vec<(ItemId, Point)>, PersistError> {
-        paged_bbrs_reverse_skyline(&self.tree, q)
+        reverse_skyline(&self.tree, q)
     }
 
     /// Whether customer `c` (own tuple `exclude`) is in `RSL(q)`.
@@ -172,8 +159,7 @@ impl<P: Pager> PagedEngine<P> {
         exclude: Option<ItemId>,
         q: &Point,
     ) -> Result<bool, PersistError> {
-        let mut scratch = PagedMemberScratch::new();
-        paged_is_reverse_skyline_member(&self.tree, c, q, exclude, &mut scratch)
+        is_reverse_skyline_member_with(&self.tree, c, q, exclude, &mut WindowScratch::new())
     }
 
     /// Aspect 1: why is customer `c` missing from `RSL(q)`?
@@ -187,10 +173,7 @@ impl<P: Pager> PagedEngine<P> {
         exclude: Option<ItemId>,
         q: &Point,
     ) -> Result<Explanation, PersistError> {
-        let _span = wnrs_obs::span!("explain");
-        Ok(Explanation {
-            culprits: paged_window_query(&self.tree, c, q, exclude)?,
-        })
+        explain(&self.tree, c, q, exclude)
     }
 
     /// Algorithm 1 (MWP) for customer `c_t`.
@@ -204,41 +187,7 @@ impl<P: Pager> PagedEngine<P> {
         exclude: Option<ItemId>,
         q: &Point,
     ) -> Result<MwpAnswer, PersistError> {
-        let _span = wnrs_obs::span!("mwp");
-        let lambda = paged_window_query(&self.tree, c_t, q, exclude)?;
-        self.mwp_with_lambda(c_t, q, &lambda, exclude)
-    }
-
-    /// Algorithm 1 against a precomputed culprit window `Λ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a page read or decode fails.
-    pub fn mwp_with_lambda(
-        &self,
-        c_t: &Point,
-        q: &Point,
-        lambda: &[(ItemId, Point)],
-        exclude: Option<ItemId>,
-    ) -> Result<MwpAnswer, PersistError> {
-        let mut scratch = PagedMemberScratch::new();
-        let mut io: Option<PersistError> = None;
-        let ans = modify_why_not_point_core(c_t, q, lambda, &self.cost, self.eps, &mut |c, at| {
-            if io.is_some() {
-                return false;
-            }
-            match paged_is_reverse_skyline_member(&self.tree, c, at, exclude, &mut scratch) {
-                Ok(v) => v,
-                Err(e) => {
-                    io = Some(e);
-                    false
-                }
-            }
-        });
-        match io {
-            Some(e) => Err(e),
-            None => Ok(ans),
-        }
+        modify_why_not_point(&self.tree, c_t, q, exclude, &self.cost, DEFAULT_EPS)
     }
 
     /// Algorithm 2 (MQP) for customer `c_t`.
@@ -252,26 +201,7 @@ impl<P: Pager> PagedEngine<P> {
         exclude: Option<ItemId>,
         q: &Point,
     ) -> Result<MqpAnswer, PersistError> {
-        let _span = wnrs_obs::span!("mqp");
-        let lambda = paged_window_query(&self.tree, c_t, q, exclude)?;
-        let mut scratch = PagedMemberScratch::new();
-        let mut io: Option<PersistError> = None;
-        let ans = modify_query_point_core(c_t, q, &lambda, &self.cost, self.eps, &mut |c, at| {
-            if io.is_some() {
-                return false;
-            }
-            match paged_is_reverse_skyline_member(&self.tree, c, at, exclude, &mut scratch) {
-                Ok(v) => v,
-                Err(e) => {
-                    io = Some(e);
-                    false
-                }
-            }
-        });
-        match io {
-            Some(e) => Err(e),
-            None => Ok(ans),
-        }
+        modify_query_point(&self.tree, c_t, q, exclude, &self.cost, DEFAULT_EPS)
     }
 
     /// The dynamic skyline of customer `c` (own tuple `exclude`), in BBS
@@ -287,15 +217,7 @@ impl<P: Pager> PagedEngine<P> {
         c: &Point,
         exclude: Option<ItemId>,
     ) -> Result<Vec<(ItemId, Point)>, PersistError> {
-        let mut scratch = PagedBbsScratch::new();
-        paged_bbs_dynamic_skyline(&self.tree, c.coords(), exclude, &mut scratch)?;
-        let pts = scratch.points();
-        Ok(scratch
-            .ids()
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (*id, pts.get(i).to_point()))
-            .collect())
+        dynamic_skyline(&self.tree, c, exclude)
     }
 
     /// Algorithm 3: the exact safe region of `q` against a precomputed
@@ -311,26 +233,8 @@ impl<P: Pager> PagedEngine<P> {
         q: &Point,
         rsl: &[(ItemId, Point)],
     ) -> Result<Region, PersistError> {
-        let _span = wnrs_obs::span!("sr_exact");
         let universe = self.universe_for(q);
-        let mut regions = Vec::with_capacity(rsl.len());
-        for (id, c) in rsl {
-            let _span = wnrs_obs::span!("anti_ddr");
-            let dsl = self.dynamic_skyline(c, Some(*id))?;
-            regions.push(anti_ddr_from_dsl(c, &dsl, &universe, 0.0));
-        }
-        Ok(intersect_all(regions, &Parallelism::sequential())
-            .unwrap_or_else(|| Region::from_rect(universe)))
-    }
-
-    /// End-to-end Algorithm 3: reverse skyline plus safe region.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a page read or decode fails.
-    pub fn safe_region(&self, q: &Point) -> Result<Region, PersistError> {
-        let rsl = self.reverse_skyline(q)?;
-        self.safe_region_for(q, &rsl)
+        exact_safe_region_with(&self.tree, rsl, &universe, true, &Parallelism::sequential())
     }
 
     /// Algorithm 4 (MWQ) for customer `c_t` against a precomputed safe
@@ -346,34 +250,17 @@ impl<P: Pager> PagedEngine<P> {
         q: &Point,
         sr: &Region,
     ) -> Result<MwqAnswer, PersistError> {
-        let _span = wnrs_obs::span!("mwq");
         let universe = self.universe_for(q);
-        let dsl = self.dynamic_skyline(c_t, exclude)?;
-        let addr = anti_ddr_from_dsl(c_t, &dsl, &universe, self.eps);
-        // `modify_both_parts` takes a plain `Fn` oracle, so page-read
-        // failures inside it park in a slot and surface afterwards; the
-        // infinite-cost fallback keeps the corner search moving without
-        // ever winning.
-        let io: RefCell<Option<PersistError>> = RefCell::new(None);
-        let ans = modify_both_parts(sr, c_t, q, &self.cost, &addr, self.eps, |at| {
-            if io.borrow().is_none() {
-                match self.mwp(c_t, exclude, at) {
-                    Ok(a) => return a,
-                    Err(e) => *io.borrow_mut() = Some(e),
-                }
-            }
-            MwpAnswer {
-                candidates: vec![Candidate {
-                    point: at.clone(),
-                    cost: f64::INFINITY,
-                    verified: false,
-                }],
-            }
-        });
-        match io.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(ans),
-        }
+        modify_both(
+            &self.tree,
+            sr,
+            c_t,
+            q,
+            exclude,
+            &self.cost,
+            &universe,
+            DEFAULT_EPS,
+        )
     }
 
     /// End-to-end convenience: reverse skyline, safe region, MWQ.

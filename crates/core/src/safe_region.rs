@@ -14,10 +14,10 @@
 
 use wnrs_geometry::parallel::{intersect_all, map_range_chunked, map_slice, Parallelism};
 use wnrs_geometry::{Point, PointsView, Rect, Region};
-use wnrs_rtree::{ItemId, RTree};
+use wnrs_rtree::{into_ok, ItemId, NodeSource, RTree};
 use wnrs_skyline::{
     approx::approx_anti_ddr_flat, approx::approx_dsl_sample_into, approx::ApproxDslScratch,
-    bbs_dynamic_skyline_excluding, ddr::anti_ddr, ddr::max_dist,
+    ddr::anti_ddr, ddr::max_dist, dynamic_skyline,
 };
 
 /// Computes the exact anti-dominance region of customer `c` in the
@@ -31,16 +31,20 @@ use wnrs_skyline::{
 /// tie points where a product still weakly dominates; a tiny positive
 /// `shrink` yields a region every point of which strictly admits `c`
 /// into `RSL(q*)` — Algorithm 4 uses that for a robust C1/C2 decision.
-pub fn anti_ddr_of(
-    products: &RTree,
+///
+/// # Errors
+///
+/// Returns the index's error when a node read fails.
+pub fn anti_ddr_of<S: NodeSource>(
+    products: &S,
     c: &Point,
     exclude: Option<ItemId>,
     universe: &Rect,
     shrink: f64,
-) -> Region {
+) -> Result<Region, S::Error> {
     let _span = wnrs_obs::span!("anti_ddr");
-    let dsl = bbs_dynamic_skyline_excluding(products, c, exclude);
-    anti_ddr_from_dsl(c, &dsl, universe, shrink)
+    let dsl = dynamic_skyline(products, c, exclude)?;
+    Ok(anti_ddr_from_dsl(c, &dsl, universe, shrink))
 }
 
 /// As [`anti_ddr_of`] from an already-computed dynamic skyline of `c`
@@ -96,7 +100,7 @@ pub fn exact_safe_region(
     let mut contributors: Vec<Region> = Vec::new();
     for (id, c) in rsl {
         let exclude = if exclude_self { Some(*id) } else { None };
-        let region = anti_ddr_of(products, c, exclude, universe, 0.0);
+        let region = into_ok(anti_ddr_of(products, c, exclude, universe, 0.0));
         #[cfg(feature = "invariant-checks")]
         contributors.push(region.clone());
         sr = Some(match sr {
@@ -121,18 +125,28 @@ pub fn exact_safe_region(
 /// result equals [`exact_safe_region`] up to box ordering — and the
 /// parallel and `workers == 1` paths of this function perform identical
 /// pairings, so they agree bit for bit.
-pub fn exact_safe_region_with(
-    products: &RTree,
+///
+/// # Errors
+///
+/// Returns the index's error when a node read fails.
+pub fn exact_safe_region_with<S>(
+    products: &S,
     rsl: &[(ItemId, Point)],
     universe: &Rect,
     exclude_self: bool,
     par: &Parallelism,
-) -> Region {
+) -> Result<Region, S::Error>
+where
+    S: NodeSource + Sync,
+    S::Error: Send,
+{
     let _span = wnrs_obs::span!("sr_exact");
     let regions = map_slice(rsl, par, |(id, c)| {
         let exclude = if exclude_self { Some(*id) } else { None };
         anti_ddr_of(products, c, exclude, universe, 0.0)
-    });
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     #[cfg(feature = "invariant-checks")]
     let contributors = regions.clone();
     let sr = intersect_all(regions, par).unwrap_or_else(|| Region::from_rect(universe.clone()));
@@ -141,7 +155,7 @@ pub fn exact_safe_region_with(
         sr_contained_in_contributors(&sr, &contributors),
         "exact safe region escapes a contributing anti-DDR"
     );
-    sr
+    Ok(sr)
 }
 
 /// Whether every box of `sr` lies inside a single box of **each**

@@ -8,9 +8,49 @@
 //! direction before testing membership, so tests and callers can confirm
 //! post-conditions without rejecting the paper's boundary answers.
 
+use std::cell::RefCell;
 use wnrs_geometry::Point;
 use wnrs_reverse_skyline::is_reverse_skyline_member;
 use wnrs_rtree::{ItemId, RTree};
+
+/// Carries the first index error out of the oracles the candidate
+/// searches call — a membership test or an MWP repair — whose
+/// signatures return plain answers. The one place a page-read failure
+/// inside an oracle is handled: once a call has failed, later calls do
+/// no index work and answer a fallback that the search can finish with
+/// but the caller never sees, because [`FirstError::finish`] then
+/// returns the error instead of the search's result.
+pub(crate) struct FirstError<E>(RefCell<Option<E>>);
+
+impl<E> FirstError<E> {
+    #[must_use]
+    pub(crate) fn new() -> Self {
+        Self(RefCell::new(None))
+    }
+
+    /// The value of `f`, or `fallback()` once any call has failed.
+    pub(crate) fn run<T>(
+        &self,
+        f: impl FnOnce() -> Result<T, E>,
+        fallback: impl FnOnce() -> T,
+    ) -> T {
+        if self.0.borrow().is_none() {
+            match f() {
+                Ok(v) => return v,
+                Err(e) => *self.0.borrow_mut() = Some(e),
+            }
+        }
+        fallback()
+    }
+
+    /// `value`, unless a call failed: then the first error.
+    pub(crate) fn finish<T>(self, value: T) -> Result<T, E> {
+        match self.0.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(value),
+        }
+    }
+}
 
 /// Nudges `candidate` by `eps` along each dimension it moved away from
 /// `origin` (no nudge in unmoved dimensions).

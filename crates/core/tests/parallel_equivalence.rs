@@ -27,7 +27,7 @@ use wnrs_core::safe_region::{
 use wnrs_core::{mwq_batch, Parallelism, WhyNotEngine};
 use wnrs_geometry::parallel::intersect_all;
 use wnrs_geometry::{Point, Rect, Region};
-use wnrs_rtree::{ItemId, RTreeConfig};
+use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -82,7 +82,7 @@ proptest! {
         let rsl = wnrs_reverse_skyline::bbrs_reverse_skyline(&tree, &q);
         let reference = exact_safe_region(&tree, &rsl, &universe, true);
         for threads in THREADS {
-            let par = exact_safe_region_with(&tree, &rsl, &universe, true, &eager(threads));
+            let par = into_ok(exact_safe_region_with(&tree, &rsl, &universe, true, &eager(threads)));
             prop_assert_eq!(
                 sorted_boxes(&par),
                 sorted_boxes(&reference),
@@ -191,7 +191,7 @@ proptest! {
         let regions: Vec<Region> = rsl
             .iter()
             .map(|(id, c)| {
-                wnrs_core::safe_region::anti_ddr_of(&tree, c, Some(*id), &universe, 0.0)
+                into_ok(wnrs_core::safe_region::anti_ddr_of(&tree, c, Some(*id), &universe, 0.0))
             })
             .collect();
         let shuffled = intersect_all(regions, &eager(2))

@@ -7,7 +7,7 @@
 use wnrs_core::{modify_query_point, modify_why_not_point, WhyNotEngine};
 use wnrs_geometry::{CostModel, Point, Weights};
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{ItemId, RTree, RTreeConfig};
+use wnrs_rtree::{into_ok, ItemId, RTree, RTreeConfig};
 
 fn paper_tree() -> RTree {
     bulk_load(
@@ -34,7 +34,14 @@ fn mwp_best_flips_with_weights() {
     let q = Point::xy(8.5, 55.0);
 
     let price_rigid = CostModel::new(Weights::equal(2), Weights::new(vec![1.0, 0.001]));
-    let ans = modify_why_not_point(&tree, &c1, &q, None, &price_rigid, 1e-9);
+    let ans = into_ok(modify_why_not_point(
+        &tree,
+        &c1,
+        &q,
+        None,
+        &price_rigid,
+        1e-9,
+    ));
     assert!(
         ans.best().point.approx_eq(&Point::xy(5.0, 48.5), 1e-9),
         "price-rigid customer should move mileage: {:?}",
@@ -42,7 +49,14 @@ fn mwp_best_flips_with_weights() {
     );
 
     let mileage_rigid = CostModel::new(Weights::equal(2), Weights::new(vec![0.001, 1.0]));
-    let ans = modify_why_not_point(&tree, &c1, &q, None, &mileage_rigid, 1e-9);
+    let ans = into_ok(modify_why_not_point(
+        &tree,
+        &c1,
+        &q,
+        None,
+        &mileage_rigid,
+        1e-9,
+    ));
     assert!(
         ans.best().point.approx_eq(&Point::xy(8.0, 30.0), 1e-9),
         "mileage-rigid customer should move price: {:?}",
@@ -60,7 +74,14 @@ fn mqp_best_flips_with_weights() {
     let q = Point::xy(8.5, 55.0);
 
     let mileage_fixed = CostModel::new(Weights::new(vec![0.001, 1.0]), Weights::equal(2));
-    let ans = modify_query_point(&tree, &c1, &q, None, &mileage_fixed, 1e-9);
+    let ans = into_ok(modify_query_point(
+        &tree,
+        &c1,
+        &q,
+        None,
+        &mileage_fixed,
+        1e-9,
+    ));
     assert!(
         ans.best().point.approx_eq(&Point::xy(7.5, 55.0), 1e-9),
         "mileage-fixed dealer should reprice: {:?}",
@@ -68,7 +89,7 @@ fn mqp_best_flips_with_weights() {
     );
 
     let price_fixed = CostModel::new(Weights::new(vec![1.0, 0.001]), Weights::equal(2));
-    let ans = modify_query_point(&tree, &c1, &q, None, &price_fixed, 1e-9);
+    let ans = into_ok(modify_query_point(&tree, &c1, &q, None, &price_fixed, 1e-9));
     assert!(
         ans.best().point.approx_eq(&Point::xy(8.5, 42.0), 1e-9),
         "price-fixed dealer should rework mileage: {:?}",
@@ -83,7 +104,7 @@ fn zero_weight_dimension_is_free() {
     let q = Point::xy(8.5, 55.0);
     // Mileage moves are free: the mileage-only candidate costs zero.
     let model = CostModel::new(Weights::equal(2), Weights::new(vec![1.0, 0.0]));
-    let ans = modify_why_not_point(&tree, &c1, &q, None, &model, 1e-9);
+    let ans = into_ok(modify_why_not_point(&tree, &c1, &q, None, &model, 1e-9));
     assert_eq!(ans.best_cost(), 0.0);
     assert!(ans.best().point.approx_eq(&Point::xy(5.0, 48.5), 1e-9));
 }

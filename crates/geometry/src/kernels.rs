@@ -488,8 +488,8 @@ pub fn min_l1_raw(lo: &[f64], hi: &[f64], q: &[f64]) -> f64 {
     }
 }
 
-/// Scalar per-dimension min-distance vector (the `transformed_lo`
-/// helper of BBS) into a reused buffer.
+/// Scalar per-dimension min-distance vector (the transformed lower
+/// corner BBS prunes with) into a reused buffer.
 #[inline]
 pub fn min_dists_into_scalar(lo: &[f64], hi: &[f64], q: &[f64], out: &mut Vec<f64>) {
     debug_assert_eq!(lo.len(), hi.len());
@@ -786,18 +786,18 @@ pub fn any_dominates_dyn_points(points: &[Point], b: &Point, q: &Point) -> bool 
     found
 }
 
-/// Whether any point of `points` globally dominates `b` w.r.t. `q`.
-/// The batched form of the BBRS candidate scan: same iteration order
-/// and early exit, one stats record per call.
+/// Whether any point of `points` globally dominates the point with
+/// coordinates `b` w.r.t. `q`. The batched form of the BBRS candidate
+/// scan: same iteration order and early exit, one stats record per call.
 #[must_use]
-pub fn any_dominates_global_points(points: &[Point], b: &Point, q: &Point) -> bool {
+pub fn any_dominates_global_points(points: &[Point], b: &[f64], q: &Point) -> bool {
     let mut tested = 0u64;
     let mut found = false;
     match current() {
         KernelDispatch::Scalar => {
             for p in points {
                 tested += 1;
-                if dominates_global_scalar(p.coords(), b.coords(), q.coords()) {
+                if dominates_global_scalar(p.coords(), b, q.coords()) {
                     found = true;
                     break;
                 }
@@ -806,7 +806,7 @@ pub fn any_dominates_global_points(points: &[Point], b: &Point, q: &Point) -> bo
         KernelDispatch::Chunked => {
             for p in points {
                 tested += 1;
-                if dominates_global_chunked(p.coords(), b.coords(), q.coords()) {
+                if dominates_global_chunked(p.coords(), b, q.coords()) {
                     found = true;
                     break;
                 }

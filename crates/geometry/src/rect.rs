@@ -108,7 +108,12 @@ impl Rect {
 
     /// Whether `p` lies inside the rectangle (boundary inclusive).
     pub fn contains_point(&self, p: &Point) -> bool {
-        debug_assert_eq!(self.dim(), p.dim());
+        self.contains_coords(p.coords())
+    }
+
+    /// [`Rect::contains_point`] for a point given by its raw coordinates.
+    pub fn contains_coords(&self, p: &[f64]) -> bool {
+        debug_assert_eq!(self.dim(), p.len());
         (0..self.dim()).all(|i| self.lo[i] <= p[i] && p[i] <= self.hi[i])
     }
 
@@ -126,8 +131,14 @@ impl Rect {
 
     /// Whether the two rectangles share at least one point.
     pub fn intersects(&self, other: &Rect) -> bool {
-        debug_assert_eq!(self.dim(), other.dim());
-        (0..self.dim()).all(|i| self.lo[i] <= other.hi[i] && other.lo[i] <= self.hi[i])
+        self.intersects_coords(other.lo.coords(), other.hi.coords())
+    }
+
+    /// [`Rect::intersects`] against the box `[lo, hi]` given by its raw
+    /// corner coordinates.
+    pub fn intersects_coords(&self, lo: &[f64], hi: &[f64]) -> bool {
+        debug_assert_eq!(self.dim(), lo.len());
+        (0..self.dim()).all(|i| self.lo[i] <= hi[i] && lo[i] <= self.hi[i])
     }
 
     /// The intersection rectangle, or `None` if disjoint.
@@ -265,8 +276,8 @@ impl Rect {
     /// Writes the per-dimension minimum distances from `q` to the
     /// rectangle into `out` (clearing it first): the lower-bound corner
     /// of the rectangle's image under the absolute-distance transform
-    /// centred at `q`. In-place variant of the `transformed_lo` helper
-    /// used by BBS; never allocates once `out` has capacity. Evaluated
+    /// centred at `q` — the prune bound BBS keeps per heap entry; never
+    /// allocates once `out` has capacity. Evaluated
     /// by whichever kernel the process-wide
     /// [`crate::kernels::KernelDispatch`] selects (bit-identical lanes).
     #[inline]

@@ -169,7 +169,7 @@ proptest! {
                 .any(|p| kernels::dominates_dyn_scalar(p.coords(), b.coords(), q.coords()))
         );
         prop_assert_eq!(
-            kernels::any_dominates_global_points(&points, &b, &q),
+            kernels::any_dominates_global_points(&points, b.coords(), &q),
             points
                 .iter()
                 .any(|p| kernels::dominates_global_scalar(p.coords(), b.coords(), q.coords()))

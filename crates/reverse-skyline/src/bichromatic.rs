@@ -28,7 +28,7 @@ use wnrs_rtree::{Child, ItemId, NodeId, RTree};
 /// Whether product `p` dynamically dominates `q` w.r.t. **every** point
 /// of the box `B` (sufficient condition: a common strict witness
 /// dimension).
-fn blocks_whole_box(p: &Point, q: &Point, b: &Rect) -> bool {
+fn blocks_whole_box(p: &[f64], q: &Point, b: &Rect) -> bool {
     let d = q.dim();
     let mut strict = false;
     for i in 0..d {
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn whole_box_blocker_test() {
         let q = Point::xy(10.0, 10.0);
-        let p = Point::xy(0.0, 0.0);
+        let p = [0.0, 0.0];
         // Midpoints are (5, 5): boxes strictly below-left are blocked.
         assert!(blocks_whole_box(
             &p,

@@ -13,6 +13,12 @@
 //!   monochromatic setting the paper's experiments use: compute the
 //!   *global skyline* candidates with a best-first traversal, then verify
 //!   each with a window query.
+//!
+//! The window query, the membership probe, the global skyline and BBRS
+//! are each written once over [`wnrs_rtree::NodeSource`], so they run
+//! unchanged on the in-memory arena and on a page-resident
+//! [`wnrs_rtree::PagedRTree`]; the `paged_*` names are the page-resident
+//! instances.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,16 +26,19 @@
 pub mod bbrs;
 pub mod bichromatic;
 pub mod naive;
-pub mod paged;
 pub mod window;
 
-pub use bbrs::{bbrs_reverse_skyline, global_skyline};
+pub use bbrs::{bbrs_reverse_skyline, global_skyline, reverse_skyline};
 pub use bichromatic::rsl_bichromatic_indexed;
 pub use naive::{rsl_bichromatic, rsl_bichromatic_parallel, rsl_monochromatic_naive};
-pub use paged::{
-    paged_bbrs_reverse_skyline, paged_global_skyline, paged_is_reverse_skyline_member,
-    paged_window_query, PagedMemberScratch,
-};
 pub use window::{
-    is_reverse_skyline_member, is_reverse_skyline_member_with, window_query, window_query_into,
+    is_reverse_skyline_member, is_reverse_skyline_member_with, paged_window_query, window_query,
+    window_query_with, PagedMemberScratch,
 };
+
+/// BBRS through pages: [`reverse_skyline`] under the name page-resident
+/// callers use.
+pub use bbrs::reverse_skyline as paged_bbrs_reverse_skyline;
+/// The membership probe through pages: [`is_reverse_skyline_member_with`]
+/// under the name page-resident callers use.
+pub use window::is_reverse_skyline_member_with as paged_is_reverse_skyline_member;

@@ -7,8 +7,15 @@
 //! paper's first why-not answer: the products the customer finds more
 //! interesting than `q`.
 
-use wnrs_geometry::{dominates_dyn, Point, Rect};
-use wnrs_rtree::{ItemId, RTree, WindowScratch};
+use wnrs_geometry::{dominates_dyn, kernels, stats, Point, Rect};
+use wnrs_rtree::paged::NodeBuf;
+use wnrs_rtree::persist::PersistError;
+use wnrs_rtree::{into_ok, window_walk, ItemId, NodeSource, PagedRTree, RTree, WindowScratch};
+use wnrs_storage::{PageId, Pager};
+
+/// Reusable state of the membership probe over pages: the window
+/// walk's scratch.
+pub type PagedMemberScratch = WindowScratch<PageId, NodeBuf>;
 
 /// The culprit set `Λ = window_query(c, q)`: all products that
 /// dynamically dominate `q` with respect to `c`, in ascending id order.
@@ -43,33 +50,56 @@ pub fn window_query(
     q: &Point,
     exclude: Option<ItemId>,
 ) -> Vec<(ItemId, Point)> {
-    let mut scratch = WindowScratch::new();
-    let mut out = Vec::new();
-    window_query_into(products, c, q, exclude, &mut scratch, &mut out);
-    out
+    into_ok(window_query_with(
+        products,
+        c,
+        q,
+        exclude,
+        &mut WindowScratch::new(),
+    ))
 }
 
-/// As [`window_query`], but reusing a descent-stack scratch and an output
-/// buffer across calls — the per-customer hot path of the naive and BBRS
-/// verification loops. `out` is cleared first; results are in ascending
-/// id order (as with [`window_query`]): a *canonical* order, independent
+/// [`window_query`] through pages.
+///
+/// # Errors
+///
+/// Returns an error when a page read or decode fails.
+pub fn paged_window_query<P: Pager>(
+    tree: &PagedRTree<P>,
+    c: &Point,
+    q: &Point,
+    exclude: Option<ItemId>,
+) -> Result<Vec<(ItemId, Point)>, PersistError> {
+    window_query_with(tree, c, q, exclude, &mut WindowScratch::new())
+}
+
+/// [`window_query`] over either node source, reusing a window scratch
+/// across calls — the per-customer hot path of batch explanations.
+/// Results are in ascending id order: a *canonical* order, independent
 /// of the index's node layout, so culprit sets — and everything that
 /// tie-breaks on their order, like Algorithm 1's candidate staircase —
 /// compare bit-identically between a cached answer and a recomputation
 /// against a tree whose shape has changed under writes.
-pub fn window_query_into(
-    products: &RTree,
+///
+/// # Errors
+///
+/// Returns the source's error when a node read fails.
+pub fn window_query_with<S: NodeSource>(
+    products: &S,
     c: &Point,
     q: &Point,
     exclude: Option<ItemId>,
-    scratch: &mut WindowScratch,
-    out: &mut Vec<(ItemId, Point)>,
-) {
-    let rect = Rect::window(c, q);
-    out.clear();
-    products.window_into_with(&rect, scratch, out);
+    scratch: &mut WindowScratch<S::NodeRef, S::Buf>,
+) -> Result<Vec<(ItemId, Point)>, S::Error> {
+    // lint:allow(hot_path_alloc) reason=one result buffer per window query, not per entry
+    let mut out = Vec::new();
+    window_walk(products, &Rect::window(c, q), scratch, |id, p| {
+        out.push((id, Point::from(p)));
+        false
+    })?;
     out.retain(|(id, p)| Some(*id) != exclude && dominates_dyn(p, q, c));
     out.sort_unstable_by_key(|(id, _)| *id);
+    Ok(out)
 }
 
 /// Whether `c ∈ RSL(q)`: true iff the window query finds no dominating
@@ -80,30 +110,52 @@ pub fn is_reverse_skyline_member(
     q: &Point,
     exclude: Option<ItemId>,
 ) -> bool {
-    let mut scratch = WindowScratch::new();
-    is_reverse_skyline_member_with(products, c, q, exclude, &mut scratch)
+    into_ok(is_reverse_skyline_member_with(
+        products,
+        c,
+        q,
+        exclude,
+        &mut WindowScratch::new(),
+    ))
 }
 
-/// As [`is_reverse_skyline_member`], but reusing a descent-stack scratch
-/// across calls so repeated membership tests allocate nothing.
-pub fn is_reverse_skyline_member_with(
-    products: &RTree,
+/// The membership probe over either node source, reusing a window
+/// scratch across calls so repeated probes allocate nothing. The
+/// window walk stops at the first product inside `c`'s window that
+/// dynamically dominates `q`; the dominance tests it ran are recorded
+/// once per probe.
+///
+/// # Errors
+///
+/// Returns the source's error when a node read fails.
+pub fn is_reverse_skyline_member_with<S: NodeSource>(
+    products: &S,
     c: &Point,
     q: &Point,
     exclude: Option<ItemId>,
-    scratch: &mut WindowScratch,
-) -> bool {
-    let rect = Rect::window(c, q);
-    !products.window_any_with(&rect, scratch, |id, p| {
-        Some(id) == exclude || !dominates_dyn(p, q, c)
-    })
+    scratch: &mut WindowScratch<S::NodeRef, S::Buf>,
+) -> Result<bool, S::Error> {
+    let mut tested = 0u64;
+    let blocked = window_walk(products, &Rect::window(c, q), scratch, |id, p| {
+        if Some(id) == exclude {
+            return false;
+        }
+        tested += 1;
+        kernels::dominates_dyn_raw(p, q.coords(), c.coords())
+    });
+    stats::record_dominance_tests(tested);
+    Ok(!blocked?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paged_is_reverse_skyline_member;
+    use std::sync::Arc;
     use wnrs_rtree::bulk::bulk_load;
+    use wnrs_rtree::persist::save;
     use wnrs_rtree::RTreeConfig;
+    use wnrs_storage::{BufferPool, MemPager};
 
     fn paper_tree_without_p1() -> RTree {
         let products = vec![
@@ -229,5 +281,45 @@ mod tests {
             is_reverse_skyline_member(&tree, &c, &q, None),
             want.is_empty()
         );
+    }
+
+    fn pseudo_points(n: usize, seed: u64) -> Vec<Point> {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64) / (u32::MAX as f64)
+        };
+        (0..n)
+            .map(|_| Point::xy(next() * 100.0, next() * 100.0))
+            .collect()
+    }
+
+    #[test]
+    fn window_query_matches_in_memory() {
+        let pts = pseudo_points(500, 21);
+        let tree = bulk_load(&pts, RTreeConfig::paper_default(2));
+        let pager = Arc::new(MemPager::paper_default());
+        let meta = save(&tree, pager.as_ref()).expect("save");
+        let paged = PagedRTree::open(BufferPool::new(pager, 32), meta).expect("open");
+        let mut scratch = PagedMemberScratch::new();
+        for (ci, c) in pts.iter().take(40).enumerate() {
+            let q = Point::xy(47.0, 53.0);
+            let exclude = Some(ItemId(ci as u32));
+            let want = window_query(&tree, c, &q, exclude);
+            let got = paged_window_query(&paged, c, &q, exclude).expect("paged");
+            assert_eq!(got.len(), want.len(), "customer {ci}");
+            for (g, w) in got.iter().zip(want.iter()) {
+                assert_eq!(g.0, w.0, "customer {ci}");
+                assert_eq!(g.1.coords(), w.1.coords(), "customer {ci}");
+            }
+            assert_eq!(
+                paged_is_reverse_skyline_member(&paged, c, &q, exclude, &mut scratch)
+                    .expect("paged"),
+                is_reverse_skyline_member(&tree, c, &q, exclude),
+                "customer {ci}"
+            );
+        }
     }
 }

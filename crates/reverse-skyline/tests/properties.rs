@@ -7,7 +7,7 @@ use wnrs_reverse_skyline::{
     rsl_bichromatic_parallel, rsl_monochromatic_naive, window_query,
 };
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{ItemId, RTreeConfig};
+use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
 
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(
@@ -59,7 +59,10 @@ proptest! {
         let bbrs: Vec<u32> = bbrs_reverse_skyline(&tree, &q).iter().map(|(id, _)| id.0).collect();
         let naive: Vec<u32> = rsl_monochromatic_naive(&tree, &q).iter().map(|(id, _)| id.0).collect();
         prop_assert_eq!(&bbrs, &naive);
-        let globals: Vec<u32> = global_skyline(&tree, &q).iter().map(|(id, _)| id.0).collect();
+        let globals: Vec<u32> = into_ok(global_skyline(&tree, &q))
+            .iter()
+            .map(|(id, _)| id.0)
+            .collect();
         for id in &bbrs {
             prop_assert!(globals.contains(id), "RSL ⊄ global skyline");
         }

@@ -2,11 +2,12 @@
 
 use wnrs_storage::PAPER_PAGE_SIZE;
 
-/// Serialized node header: level (u32) + entry count (u32).
-pub(crate) const NODE_HEADER_BYTES: usize = 8;
-/// Serialized entry: child/item id (u64) + 2·d coordinates (f64 each).
-pub(crate) fn entry_bytes(dim: usize) -> usize {
-    8 + 16 * dim
+/// How many `dim`-dimensional entries one `page_size`-byte node page
+/// holds (0 when not even one fits): after an 8-byte header (level and
+/// entry count, `u32` each), each entry takes a `u64` child id and
+/// `2·dim` `f64` coordinates.
+pub(crate) fn node_capacity(page_size: usize, dim: usize) -> usize {
+    page_size.saturating_sub(8) / dim.saturating_mul(16).saturating_add(8)
 }
 
 /// Structural parameters of an R\*-tree.
@@ -53,8 +54,7 @@ impl RTreeConfig {
     #[must_use]
     pub fn for_page_size(page_size: usize, dim: usize) -> Self {
         assert!(dim > 0, "dimensionality must be positive");
-        let usable = page_size.saturating_sub(NODE_HEADER_BYTES);
-        let max = usable / entry_bytes(dim);
+        let max = node_capacity(page_size, dim);
         assert!(
             max >= 4,
             "page of {page_size} bytes holds only {max} {dim}-d entries; need ≥ 4"

@@ -13,6 +13,9 @@
 //! * window (range) queries — the `window_query` primitive of the paper;
 //! * best-first traversal in arbitrary `MINDIST` order, the hook the BBS
 //!   skyline algorithm and k-NN search are built on;
+//! * one node-access trait, [`NodeSource`], implemented by the arena
+//!   tree and by the page-resident [`PagedRTree`], over which every
+//!   index walk of the algorithm crates is written once;
 //! * node-visit accounting (the logical-I/O metric of the access-methods
 //!   literature) and persistence to [`wnrs_storage`] pages, one node per
 //!   page, so fan-out is derived from the paper's page size.
@@ -30,6 +33,7 @@ pub mod node;
 pub mod paged;
 pub mod persist;
 pub mod query;
+pub mod source;
 pub mod split;
 pub mod stream;
 pub mod tree;
@@ -38,6 +42,7 @@ pub mod validate;
 pub use config::RTreeConfig;
 pub use node::{Child, Entry, ItemId, Node, NodeId};
 pub use paged::PagedRTree;
-pub use query::{knn, nearest, BestFirst, Traversal};
+pub use query::{knn, nearest, BestFirst, Frontier, Traversal};
+pub use source::{into_ok, window_walk, NodeSource, NodeView, WindowScratch};
 pub use stream::bulk_load_stream;
-pub use tree::{RTree, WindowScratch};
+pub use tree::RTree;

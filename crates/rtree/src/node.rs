@@ -1,5 +1,6 @@
 //! Nodes and entries of the R\*-tree arena.
 
+use crate::source::NodeView;
 use wnrs_geometry::{Point, Rect};
 
 /// Identifier of a data item (index into the caller's dataset).
@@ -7,7 +8,7 @@ use wnrs_geometry::{Point, Rect};
 pub struct ItemId(pub u32);
 
 /// Identifier of a node in the tree's arena.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -19,11 +20,12 @@ impl NodeId {
 }
 
 /// The payload an entry points at: a child node (inner levels) or a data
-/// item (leaves).
+/// item (leaves). `N` addresses the child node: a [`NodeId`] in the
+/// arena, a page id in a page-resident tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Child {
+pub enum Child<N = NodeId> {
     /// Subtree rooted at the given node.
-    Node(NodeId),
+    Node(N),
     /// A data point.
     Item(ItemId),
 }
@@ -176,6 +178,14 @@ impl Node {
 
     pub(crate) fn take_entries(&mut self) -> Vec<Entry> {
         std::mem::take(&mut self.entries)
+    }
+}
+
+impl NodeView<NodeId> for Node {
+    #[inline]
+    fn get(&self, i: usize) -> Option<(Child, &[f64], &[f64])> {
+        let e = self.entries.get(i)?;
+        Some((e.child, e.rect.lo().coords(), e.rect.hi().coords()))
     }
 }
 

@@ -1,39 +1,26 @@
 //! A page-resident, read-only R\*-tree view.
 //!
 //! [`crate::persist`] materialises a persisted tree back into an arena;
-//! [`PagedRTree`] instead answers window queries *directly against the
-//! pages*, pulling nodes through an LRU [`BufferPool`] and decoding them
-//! on the fly. This is how the paper's testbed actually executes —
-//! index traffic goes through the buffer manager — and it makes the
-//! logical/physical I/O split measurable: `pool().stats()` reports
-//! hits/misses while queries run with bounded memory.
+//! [`PagedRTree`] instead serves the index walks *directly from the
+//! pages*: as a [`NodeSource`] it pulls each node through an LRU
+//! [`BufferPool`] and decodes it into a caller-owned [`NodeBuf`]. This
+//! is how the paper's testbed actually executes — index traffic goes
+//! through the buffer manager — and it makes the logical/physical I/O
+//! split measurable: `pool().stats()` reports hits/misses while queries
+//! run with bounded memory.
 
-use crate::config::RTreeConfig;
-use crate::node::ItemId;
-use crate::persist::PersistError;
-use wnrs_geometry::{Point, Rect};
+use crate::config::node_capacity;
+use crate::node::{Child, ItemId};
+use crate::persist::{read_meta, Meta, PersistError, ITEM_TAG};
+use crate::source::{NodeSource, NodeView};
 use wnrs_storage::{BufferPool, Decoder, PageId, Pager};
 
-const MAGIC: u64 = 0x524E_5753_5254_5245; // shared with crate::persist
-const ITEM_TAG: u64 = 1 << 63;
-
-/// One decoded page-resident node.
-struct DecodedNode {
-    level: u32,
-    /// `(tagged child id, lo, hi)` triples.
-    entries: Vec<(u64, Rect)>,
-}
-
-/// A reusable, allocation-free decode target for one node page.
-///
-/// External traversals (the paged BBS/BBRS drivers) decode nodes into
-/// one of these instead of materialising [`Rect`]s per entry: children
-/// stay as raw tagged ids, coordinates as one flat `lo‖hi` buffer per
-/// entry. Reusing the buffer across [`PagedRTree::read_node_into`] calls
-/// keeps a whole traversal at zero steady-state allocations.
+/// A reusable, allocation-free decode target for one node page:
+/// children stay raw tagged ids, coordinates one flat `lo‖hi` buffer per
+/// entry. Reusing it across reads keeps a whole walk at zero
+/// steady-state allocations.
 #[derive(Debug, Default)]
 pub struct NodeBuf {
-    level: u32,
     dim: usize,
     /// Tagged child ids: high bit set = item, clear = child page.
     children: Vec<u64>,
@@ -42,236 +29,148 @@ pub struct NodeBuf {
 }
 
 impl NodeBuf {
-    /// An empty buffer (filled by [`PagedRTree::read_node_into`]).
+    /// An empty buffer (filled by node reads).
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// The decoded node's level (0 = leaf).
-    #[inline]
-    pub fn level(&self) -> u32 {
-        self.level
+    /// Decodes the node page `bytes` of a `dim`-dimensional tree into
+    /// `self`, reusing its allocations. Rejects a page whose level is
+    /// not `level`, whose entry count exceeds what the page can hold,
+    /// whose entry kinds disagree with its level (items exactly at
+    /// level 0), or whose entry boxes are not finite with `lo ≤ hi`.
+    pub(crate) fn decode(
+        &mut self,
+        bytes: &[u8],
+        dim: usize,
+        level: u32,
+    ) -> Result<(), PersistError> {
+        let corrupt = |what: String| Err(PersistError::Format(what));
+        let mut dec = Decoder::new(bytes);
+        let found = dec.get_u32()?;
+        if found != level {
+            return corrupt(format!("node at level {found}, expected level {level}"));
+        }
+        let count = dec.get_u32()? as usize;
+        if count > node_capacity(bytes.len(), dim) {
+            return corrupt(format!(
+                "{count} entries overflow a {}-byte page",
+                bytes.len()
+            ));
+        }
+        self.dim = dim;
+        self.children.clear();
+        self.coords.clear();
+        self.children.reserve(count);
+        self.coords.reserve(count * 2 * dim);
+        for _ in 0..count {
+            let child = dec.get_u64()?;
+            if (child & ITEM_TAG != 0) != (level == 0) {
+                return corrupt(format!("entry kind does not match node level {level}"));
+            }
+            self.children.push(child);
+            let lo = self.coords.len();
+            for k in 0..2 * dim {
+                let x = dec.get_f64()?;
+                // Each `hi` coordinate (k ≥ dim) must not undercut its `lo`.
+                if !x.is_finite() || (k >= dim && x < self.coords[lo + k - dim]) {
+                    return corrupt("entry box not finite with lo ≤ hi".into());
+                }
+                self.coords.push(x);
+            }
+        }
+        Ok(())
     }
+}
 
-    /// Whether the decoded node is a leaf.
+impl NodeView<PageId> for NodeBuf {
     #[inline]
-    pub fn is_leaf(&self) -> bool {
-        self.level == 0
-    }
-
-    /// Number of entries.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.children.len()
-    }
-
-    /// Whether the node has no entries.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.children.is_empty()
-    }
-
-    /// Whether entry `i` is an item (leaf) entry.
-    #[inline]
-    pub fn is_item(&self, i: usize) -> bool {
-        self.children[i] & ITEM_TAG != 0
-    }
-
-    /// The item id of leaf entry `i`.
-    #[inline]
-    pub fn item_id(&self, i: usize) -> ItemId {
-        debug_assert!(self.is_item(i));
-        ItemId((self.children[i] & !ITEM_TAG) as u32)
-    }
-
-    /// The child page of inner entry `i`.
-    #[inline]
-    pub fn child_page(&self, i: usize) -> PageId {
-        debug_assert!(!self.is_item(i));
-        PageId(self.children[i])
-    }
-
-    /// Entry `i`'s lower corner (the point itself for leaf entries).
-    #[inline]
-    pub fn lo(&self, i: usize) -> &[f64] {
-        &self.coords[2 * self.dim * i..2 * self.dim * i + self.dim]
-    }
-
-    /// Entry `i`'s upper corner.
-    #[inline]
-    pub fn hi(&self, i: usize) -> &[f64] {
-        &self.coords[2 * self.dim * i + self.dim..2 * self.dim * (i + 1)]
+    fn get(&self, i: usize) -> Option<(Child<PageId>, &[f64], &[f64])> {
+        let tagged = *self.children.get(i)?;
+        let width = 2 * self.dim;
+        let (lo, hi) = self
+            .coords
+            .get(width * i..width * (i + 1))?
+            .split_at(self.dim);
+        let child = if tagged & ITEM_TAG != 0 {
+            Child::Item(ItemId((tagged & !ITEM_TAG) as u32))
+        } else {
+            Child::Node(PageId(tagged))
+        };
+        Some((child, lo, hi))
     }
 }
 
 /// A read-only R\*-tree whose nodes live in pages behind a buffer pool.
 pub struct PagedRTree<P: Pager> {
     pool: BufferPool<P>,
-    root_page: PageId,
-    dim: usize,
-    height: u32,
-    len: usize,
-    config: RTreeConfig,
+    meta: Meta,
 }
 
 impl<P: Pager> PagedRTree<P> {
     /// Opens a tree previously written by [`crate::persist::save`],
     /// reading only the meta page eagerly.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the meta page cannot be read, or is not a
+    /// tree's meta page whose entries fit this pager's pages.
     pub fn open(pool: BufferPool<P>, meta_page: PageId) -> Result<Self, PersistError> {
-        let meta = pool.read(meta_page)?;
-        let mut dec = Decoder::new(meta.bytes());
-        if dec.get_u64()? != MAGIC {
-            return Err(PersistError::Format("bad magic".into()));
-        }
-        let dim = dec.get_u32()? as usize;
-        let height = dec.get_u32()?;
-        let len = dec.get_u64()? as usize;
-        let root_page = PageId(dec.get_u64()?);
-        let config = RTreeConfig {
-            max_entries: dec.get_u32()? as usize,
-            min_entries: dec.get_u32()? as usize,
-            reinsert_count: dec.get_u32()? as usize,
-        };
-        if dim == 0 || !config.is_valid() {
-            return Err(PersistError::Format("corrupt meta page".into()));
-        }
-        Ok(Self {
-            pool,
-            root_page,
-            dim,
-            height,
-            len,
-            config,
-        })
+        let meta = read_meta(pool.read(meta_page)?.bytes())?;
+        Ok(Self { pool, meta })
     }
 
     /// Number of indexed points.
     pub fn len(&self) -> usize {
-        self.len
+        self.meta.len
     }
 
     /// Whether the tree holds no points.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.meta.len == 0
     }
 
     /// Tree height.
     pub fn height(&self) -> u32 {
-        self.height
+        self.meta.height
     }
 
     /// Dimensionality.
     pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// The structural configuration recorded at save time.
-    pub fn config(&self) -> &RTreeConfig {
-        &self.config
+        self.meta.dim
     }
 
     /// The buffer pool (its stats expose logical/physical I/O).
     pub fn pool(&self) -> &BufferPool<P> {
         &self.pool
     }
+}
 
-    /// The root node's page id (the traversal entry point for external
-    /// drivers such as the paged BBS).
-    pub fn root_page(&self) -> PageId {
-        self.root_page
+impl<P: Pager> NodeSource for PagedRTree<P> {
+    type NodeRef = PageId;
+    type Node = NodeBuf;
+    type Buf = NodeBuf;
+    type Error = PersistError;
+
+    fn dim(&self) -> usize {
+        self.meta.dim
     }
 
-    /// Decodes the node at `page` into `buf`, reusing its allocations.
-    pub fn read_node_into(&self, page: PageId, buf: &mut NodeBuf) -> Result<(), PersistError> {
-        let p = self.pool.read(page)?;
-        let mut dec = Decoder::new(p.bytes());
-        buf.level = dec.get_u32()?;
-        buf.dim = self.dim;
-        let count = dec.get_u32()? as usize;
-        buf.children.clear();
-        buf.coords.clear();
-        buf.children.reserve(count);
-        buf.coords.reserve(count * 2 * self.dim);
-        for _ in 0..count {
-            buf.children.push(dec.get_u64()?);
-            for _ in 0..2 * self.dim {
-                buf.coords.push(dec.get_f64()?);
-            }
-        }
-        Ok(())
+    fn root_node(&self) -> Option<(PageId, u32)> {
+        (!self.is_empty()).then_some((self.meta.root, self.meta.height - 1))
     }
 
-    fn read_node(&self, page: PageId) -> Result<DecodedNode, PersistError> {
-        let p = self.pool.read(page)?;
-        let mut dec = Decoder::new(p.bytes());
-        let level = dec.get_u32()?;
-        let count = dec.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let child = dec.get_u64()?;
-            let mut lo = Vec::with_capacity(self.dim);
-            let mut hi = Vec::with_capacity(self.dim);
-            for _ in 0..self.dim {
-                lo.push(dec.get_f64()?);
-            }
-            for _ in 0..self.dim {
-                hi.push(dec.get_f64()?);
-            }
-            entries.push((child, Rect::new(Point::new(lo), Point::new(hi))));
-        }
-        Ok(DecodedNode { level, entries })
-    }
-
-    /// All items inside `window` (boundary inclusive), streamed through
-    /// the buffer pool.
-    pub fn window(&self, window: &Rect) -> Result<Vec<(ItemId, Point)>, PersistError> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
-        // lint:allow(hot_path_alloc) reason=one result buffer per window query, not per entry
-        let mut out = Vec::new();
-        if self.is_empty() {
-            return Ok(out);
-        }
-        let mut stack = vec![self.root_page];
-        while let Some(page) = stack.pop() {
-            let node = self.read_node(page)?;
-            for (child, rect) in &node.entries {
-                if node.level == 0 {
-                    debug_assert!(child & ITEM_TAG != 0, "leaf entry must be an item");
-                    if window.contains_point(rect.lo()) {
-                        // lint:allow(hot_path_alloc) reason=owned Point per accepted match required by the public API
-                        out.push((ItemId((child & !ITEM_TAG) as u32), rect.lo().clone()));
-                    }
-                } else if window.intersects(rect) {
-                    stack.push(PageId(*child));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Whether any item lies inside `window`.
-    pub fn window_any(&self, window: &Rect) -> Result<bool, PersistError> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
-        if self.is_empty() {
-            return Ok(false);
-        }
-        let mut stack = vec![self.root_page];
-        while let Some(page) = stack.pop() {
-            let node = self.read_node(page)?;
-            for (child, rect) in &node.entries {
-                if node.level == 0 {
-                    if window.contains_point(rect.lo()) {
-                        return Ok(true);
-                    }
-                } else if window.intersects(rect) {
-                    stack.push(PageId(*child));
-                }
-            }
-        }
-        Ok(false)
+    /// Reads the page through the pool (one logical read) and decodes
+    /// it into `buf`.
+    fn read_node<'a>(
+        &'a self,
+        page: PageId,
+        level: u32,
+        buf: &'a mut NodeBuf,
+    ) -> Result<&'a NodeBuf, PersistError> {
+        buf.decode(self.pool.read(page)?.bytes(), self.meta.dim, level)?;
+        Ok(buf)
     }
 }
 
@@ -279,9 +178,23 @@ impl<P: Pager> PagedRTree<P> {
 mod tests {
     use super::*;
     use crate::bulk::bulk_load;
+    use crate::config::RTreeConfig;
     use crate::persist::save;
+    use crate::source::{window_walk, WindowScratch};
     use std::sync::Arc;
+    use wnrs_geometry::{Point, Rect};
     use wnrs_storage::MemPager;
+
+    /// The ids of the items inside `w`, through the shared window walk.
+    fn window_ids(paged: &PagedRTree<MemPager>, w: &Rect) -> Vec<u32> {
+        let mut ids = Vec::new();
+        window_walk(paged, w, &mut WindowScratch::new(), |id, _| {
+            ids.push(id.0);
+            false
+        })
+        .expect("query");
+        ids
+    }
 
     fn pts(n: usize) -> Vec<Point> {
         let mut state: u64 = 77;
@@ -316,12 +229,7 @@ mod tests {
             Rect::degenerate(points[11].clone()),
         ];
         for w in &windows {
-            let mut got: Vec<u32> = paged
-                .window(w)
-                .expect("query")
-                .iter()
-                .map(|(id, _)| id.0)
-                .collect();
+            let mut got = window_ids(&paged, w);
             got.sort_unstable();
             let mut want: Vec<u32> = points
                 .iter()
@@ -331,7 +239,8 @@ mod tests {
                 .collect();
             want.sort_unstable();
             assert_eq!(got, want);
-            assert_eq!(paged.window_any(w).expect("query"), !want.is_empty());
+            let any = window_walk(&paged, w, &mut WindowScratch::new(), |_, _| true);
+            assert_eq!(any.expect("query"), !want.is_empty());
         }
     }
 
@@ -339,10 +248,10 @@ mod tests {
     fn buffer_pool_caches_hot_paths() {
         let (_, paged) = setup(5000, 256);
         let w = Rect::new(Point::xy(40.0, 40.0), Point::xy(45.0, 45.0));
-        let _ = paged.window(&w).expect("cold");
+        let _ = window_ids(&paged, &w);
         let cold_miss = paged.pool().stats().physical_reads();
         for _ in 0..10 {
-            let _ = paged.window(&w).expect("warm");
+            let _ = window_ids(&paged, &w);
         }
         let warm_miss = paged.pool().stats().physical_reads();
         assert_eq!(
@@ -357,7 +266,7 @@ mod tests {
         // A 4-page pool forces eviction yet answers stay exact.
         let (points, paged) = setup(3000, 4);
         let w = Rect::new(Point::xy(0.0, 0.0), Point::xy(100.0, 100.0));
-        let got = paged.window(&w).expect("full scan");
+        let got = window_ids(&paged, &w);
         assert_eq!(got.len(), points.len());
         assert!(paged.pool().resident() <= 4);
     }

@@ -9,8 +9,10 @@
 //!   The high bit of the child id tags items (set) vs child nodes
 //!   (clear); child nodes are referenced by their *page* id.
 
-use crate::config::{entry_bytes, RTreeConfig, NODE_HEADER_BYTES};
-use crate::node::{Child, Entry, ItemId, Node, NodeId};
+use crate::config::{node_capacity, RTreeConfig};
+use crate::node::{Child, Entry, Node, NodeId};
+use crate::paged::NodeBuf;
+use crate::source::NodeView;
 use crate::tree::RTree;
 use std::collections::HashMap;
 use std::fmt;
@@ -55,13 +57,7 @@ impl From<wnrs_storage::codec::CodecError> for PersistError {
 /// Writes `tree` to `pager`, returning the meta page id.
 pub fn save<P: Pager>(tree: &RTree, pager: &P) -> Result<PageId, PersistError> {
     let dim = tree.dim();
-    let need = NODE_HEADER_BYTES + tree.config().max_entries * entry_bytes(dim);
-    if need > pager.page_size() {
-        return Err(PersistError::Format(format!(
-            "node needs {need} bytes but pages hold {}",
-            pager.page_size()
-        )));
-    }
+    check_fits(tree.config(), dim, pager.page_size())?;
 
     // Assign a page to every reachable node (pre-order).
     let meta_page = pager.allocate();
@@ -81,130 +77,171 @@ pub fn save<P: Pager>(tree: &RTree, pager: &P) -> Result<PageId, PersistError> {
             }
         }
     }
-
-    // Serialise the nodes.
     for id in order {
-        let node = tree.node(id);
-        let mut page = Page::zeroed(pager.page_size());
-        {
-            let mut enc = Encoder::new(page.bytes_mut());
-            enc.put_u32(node.level())?;
-            enc.put_u32(node.len() as u32)?;
-            for e in node.entries() {
-                let child = match e.child() {
-                    Child::Item(item) => ITEM_TAG | item.0 as u64,
-                    Child::Node(n) => page_of[&n].0,
-                };
-                enc.put_u64(child)?;
-                for i in 0..dim {
-                    enc.put_f64(e.rect().lo()[i])?;
-                }
-                for i in 0..dim {
-                    enc.put_f64(e.rect().hi()[i])?;
-                }
+        write_node(pager, page_of[&id], tree.node(id), dim, |n| page_of[&n].0)?;
+    }
+    let root = page_of[&tree.root()];
+    write_meta(
+        pager,
+        meta_page,
+        dim,
+        tree.height(),
+        tree.len(),
+        root,
+        tree.config(),
+    )?;
+    Ok(meta_page)
+}
+
+/// Rejects a configuration whose full nodes do not fit one page.
+pub(crate) fn check_fits(
+    config: &RTreeConfig,
+    dim: usize,
+    page_size: usize,
+) -> Result<(), PersistError> {
+    if config.max_entries > node_capacity(page_size, dim) {
+        return Err(PersistError::Format(format!(
+            "{} entries of dimension {dim} overflow {page_size}-byte pages",
+            config.max_entries
+        )));
+    }
+    Ok(())
+}
+
+/// Serialises one node page, with `child_page` mapping `NodeId`s to
+/// page ids.
+pub(crate) fn write_node<P: Pager>(
+    pager: &P,
+    page_id: PageId,
+    node: &Node,
+    dim: usize,
+    child_page: impl Fn(NodeId) -> u64,
+) -> Result<(), PersistError> {
+    let mut page = Page::zeroed(pager.page_size());
+    {
+        let mut enc = Encoder::new(page.bytes_mut());
+        enc.put_u32(node.level())?;
+        enc.put_u32(node.len() as u32)?;
+        for e in node.entries() {
+            let child = match e.child() {
+                Child::Item(item) => ITEM_TAG | item.0 as u64,
+                Child::Node(n) => child_page(n),
+            };
+            enc.put_u64(child)?;
+            for i in 0..dim {
+                enc.put_f64(e.rect().lo()[i])?;
+            }
+            for i in 0..dim {
+                enc.put_f64(e.rect().hi()[i])?;
             }
         }
-        pager.write_page(page_of[&id], &page)?;
     }
+    pager.write_page(page_id, &page)?;
+    Ok(())
+}
 
-    // Meta page.
+/// Writes the meta page.
+pub(crate) fn write_meta<P: Pager>(
+    pager: &P,
+    meta_page: PageId,
+    dim: usize,
+    height: u32,
+    len: usize,
+    root_page: PageId,
+    config: &RTreeConfig,
+) -> Result<(), PersistError> {
     let mut page = Page::zeroed(pager.page_size());
     {
         let mut enc = Encoder::new(page.bytes_mut());
         enc.put_u64(MAGIC)?;
         enc.put_u32(dim as u32)?;
-        enc.put_u32(tree.height())?;
-        enc.put_u64(tree.len() as u64)?;
-        enc.put_u64(page_of[&tree.root()].0)?;
-        enc.put_u32(tree.config().max_entries as u32)?;
-        enc.put_u32(tree.config().min_entries as u32)?;
-        enc.put_u32(tree.config().reinsert_count as u32)?;
+        enc.put_u32(height)?;
+        enc.put_u64(len as u64)?;
+        enc.put_u64(root_page.0)?;
+        enc.put_u32(config.max_entries as u32)?;
+        enc.put_u32(config.min_entries as u32)?;
+        enc.put_u32(config.reinsert_count as u32)?;
     }
     pager.write_page(meta_page, &page)?;
-    Ok(meta_page)
+    Ok(())
 }
 
-/// Loads a tree previously written by [`save`].
-pub fn load<P: Pager>(pager: &P, meta_page: PageId) -> Result<RTree, PersistError> {
-    let meta = pager.read_page(meta_page)?;
-    let mut dec = Decoder::new(meta.bytes());
+/// The fields of a meta page.
+pub(crate) struct Meta {
+    pub(crate) dim: usize,
+    pub(crate) height: u32,
+    pub(crate) len: usize,
+    pub(crate) root: PageId,
+    pub(crate) config: RTreeConfig,
+}
+
+/// Decodes the meta page `bytes`, rejecting anything [`save`] cannot
+/// have written: a bad magic, a zero height, an invalid configuration,
+/// or a dimensionality at which not even one entry fits a page.
+pub(crate) fn read_meta(bytes: &[u8]) -> Result<Meta, PersistError> {
+    let mut dec = Decoder::new(bytes);
     if dec.get_u64()? != MAGIC {
         return Err(PersistError::Format("bad magic".into()));
     }
     let dim = dec.get_u32()? as usize;
     let height = dec.get_u32()?;
     let len = dec.get_u64()? as usize;
-    let root_page = PageId(dec.get_u64()?);
+    let root = PageId(dec.get_u64()?);
     let config = RTreeConfig {
         max_entries: dec.get_u32()? as usize,
         min_entries: dec.get_u32()? as usize,
         reinsert_count: dec.get_u32()? as usize,
     };
-    if dim == 0 || !config.is_valid() {
+    if dim == 0 || height == 0 || !config.is_valid() || node_capacity(bytes.len(), dim) == 0 {
         return Err(PersistError::Format("corrupt meta page".into()));
     }
+    Ok(Meta {
+        dim,
+        height,
+        len,
+        root,
+        config,
+    })
+}
 
-    let mut tree = RTree::new(dim, config);
+/// Loads a tree previously written by [`save`].
+///
+/// # Errors
+///
+/// Returns an error when a page cannot be read or is malformed; node
+/// pages are checked as [`crate::PagedRTree`] checks them, so a corrupt
+/// child pointer cannot make the load loop.
+pub fn load<P: Pager>(pager: &P, meta_page: PageId) -> Result<RTree, PersistError> {
+    let meta = read_meta(pager.read_page(meta_page)?.bytes())?;
+    let mut tree = RTree::new(meta.dim, meta.config);
     tree.nodes.clear();
     let mut node_of: HashMap<PageId, NodeId> = HashMap::new();
-    let root = load_node(pager, root_page, dim, &mut tree, &mut node_of)?;
-    tree.set_bulk_state(root, height, len);
-    if tree.node(root).level() + 1 != height {
-        return Err(PersistError::Format(
-            "height does not match root level".into(),
-        ));
-    }
+    let root = load_node(pager, meta.root, meta.height - 1, &mut tree, &mut node_of)?;
+    tree.set_bulk_state(root, meta.height, meta.len);
     Ok(tree)
 }
 
 fn load_node<P: Pager>(
     pager: &P,
     page_id: PageId,
-    dim: usize,
+    level: u32,
     tree: &mut RTree,
     node_of: &mut HashMap<PageId, NodeId>,
 ) -> Result<NodeId, PersistError> {
-    let page = pager.read_page(page_id)?;
-    let mut dec = Decoder::new(page.bytes());
-    let level = dec.get_u32()?;
-    let count = dec.get_u32()? as usize;
-    let mut entries = Vec::with_capacity(count);
-    // Decode entries first (children loaded after, to keep the borrow
-    // short) — stash raw fields.
-    let mut raw = Vec::with_capacity(count);
-    for _ in 0..count {
-        let child = dec.get_u64()?;
-        let mut lo = Vec::with_capacity(dim);
-        let mut hi = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            lo.push(dec.get_f64()?);
-        }
-        for _ in 0..dim {
-            hi.push(dec.get_f64()?);
-        }
-        raw.push((child, lo, hi));
-    }
-    for (child, lo, hi) in raw {
-        if child & ITEM_TAG != 0 {
-            if level != 0 {
-                return Err(PersistError::Format("item entry in inner node".into()));
+    let mut buf = NodeBuf::new();
+    buf.decode(pager.read_page(page_id)?.bytes(), tree.dim(), level)?;
+    let mut entries = Vec::new();
+    for (child, lo, hi) in buf.iter() {
+        entries.push(match child {
+            Child::Item(id) => Entry::item(id, Point::from(lo)),
+            Child::Node(child_page) => {
+                let child_node = match node_of.get(&child_page) {
+                    Some(&n) => n,
+                    None => load_node(pager, child_page, level - 1, tree, node_of)?,
+                };
+                Entry::node(Rect::new(Point::from(lo), Point::from(hi)), child_node)
             }
-            let id = ItemId((child & !ITEM_TAG) as u32);
-            entries.push(Entry::item(id, Point::new(lo)));
-        } else {
-            if level == 0 {
-                return Err(PersistError::Format("node entry in leaf".into()));
-            }
-            let child_page = PageId(child);
-            let child_node = match node_of.get(&child_page) {
-                Some(&n) => n,
-                None => load_node(pager, child_page, dim, tree, node_of)?,
-            };
-            entries.push(Entry::node(
-                Rect::new(Point::new(lo), Point::new(hi)),
-                child_node,
-            ));
-        }
+        });
     }
     tree.nodes.push(Node::with_entries(level, entries));
     let id = NodeId(tree.nodes.len() as u32 - 1);
@@ -216,6 +253,7 @@ fn load_node<P: Pager>(
 mod tests {
     use super::*;
     use crate::bulk::bulk_load;
+    use crate::node::ItemId;
     use crate::validate::check_structure;
     use wnrs_storage::MemPager;
 

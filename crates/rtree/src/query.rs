@@ -1,10 +1,12 @@
 //! Best-first traversal and nearest-neighbour search.
 //!
-//! [`BestFirst`] is the priority-queue traversal skeleton shared by k-NN
-//! search and the BBS/BBRS skyline algorithms: entries are popped in
+//! [`BestFirst`] is the priority-queue traversal of the arena tree used
+//! by k-NN search and the static BBS skyline: entries are popped in
 //! increasing order of a caller-supplied key on their bounding
 //! rectangles, and the caller decides whether to expand each popped node
-//! (which is what lets BBS prune dominated subtrees).
+//! (which is what lets BBS prune dominated subtrees). [`Frontier`] is
+//! the min-heap behind it, which the walks over either node source (the
+//! BBS dynamic skyline, BBRS's global skyline) pop from as well.
 
 use crate::node::{Child, ItemId, NodeId};
 use crate::tree::RTree;
@@ -46,33 +48,78 @@ impl Traversal {
     }
 }
 
-struct HeapElem {
-    key: f64,
-    seq: u64,
-    payload: Payload,
-}
-
 enum Payload {
     Node(NodeId),
     Item(ItemId, Point),
 }
 
-impl PartialEq for HeapElem {
+/// The frontier of a best-first walk: a min-heap on `f64` keys that
+/// pops the smallest key first and breaks ties by push order, so every
+/// walk over it is deterministic. Each push counts one heap push in the
+/// query statistics.
+#[derive(Debug)]
+pub struct Frontier<T> {
+    heap: BinaryHeap<Ranked<T>>,
+    seq: u64,
+}
+
+#[derive(Debug)]
+struct Ranked<T> {
+    key: f64,
+    seq: u64,
+    item: T,
+}
+
+impl<T> PartialEq for Ranked<T> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key && self.seq == other.seq
     }
 }
-impl Eq for HeapElem {}
-impl PartialOrd for HeapElem {
+impl<T> Eq for Ranked<T> {}
+impl<T> PartialOrd for Ranked<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapElem {
+impl<T> Ord for Ranked<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: invert so the smallest key pops first;
         // break ties by insertion order for determinism.
         cmp_f64(other.key, self.key).then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+impl<T> Default for Frontier<T> {
+    fn default() -> Self {
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
+    }
+}
+
+impl<T> Frontier<T> {
+    /// Empties the frontier, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.seq = 0;
+    }
+
+    /// Adds `item` under `key`.
+    pub fn push(&mut self, key: f64, item: T) {
+        wnrs_geometry::stats::record_heap_push();
+        self.seq += 1;
+        self.heap.push(Ranked {
+            key,
+            seq: self.seq,
+            item,
+        });
+    }
+
+    /// Removes the smallest-key item (the earliest pushed among equal
+    /// keys), with its key.
+    pub fn pop(&mut self) -> Option<(f64, T)> {
+        self.heap.pop().map(|r| (r.key, r.item))
     }
 }
 
@@ -103,9 +150,7 @@ impl Ord for HeapElem {
 pub struct BestFirst<'a, K> {
     tree: &'a RTree,
     key: K,
-    heap: BinaryHeap<HeapElem>,
-    seq: u64,
-    staged: Vec<(f64, Payload)>,
+    heap: Frontier<Payload>,
 }
 
 impl<'a, K: FnMut(&Rect) -> f64> BestFirst<'a, K> {
@@ -115,48 +160,31 @@ impl<'a, K: FnMut(&Rect) -> f64> BestFirst<'a, K> {
         let mut this = Self {
             tree,
             key,
-            heap: BinaryHeap::new(),
-            seq: 0,
-            // lint:allow(hot_path_alloc) reason=one-time construction per traversal, reused across expands
-            staged: Vec::new(),
+            heap: Frontier::default(),
         };
         if !tree.is_empty() {
             let root = tree.root();
             let rect = tree.node(root).mbr();
             let k = (this.key)(&rect);
-            this.push(k, Payload::Node(root));
+            this.heap.push(k, Payload::Node(root));
         }
         this
     }
 
-    fn push(&mut self, key: f64, payload: Payload) {
-        wnrs_geometry::stats::record_heap_push();
-        self.seq += 1;
-        self.heap.push(HeapElem {
-            key,
-            seq: self.seq,
-            payload,
-        });
-    }
-
     /// Pops the smallest-key element, or `None` when exhausted.
     pub fn pop(&mut self) -> Option<Traversal> {
-        let elem = self.heap.pop()?;
-        Some(match elem.payload {
+        let (key, payload) = self.heap.pop()?;
+        Some(match payload {
             Payload::Node(id) => {
                 let node = self.tree.node(id);
                 Traversal::Node {
                     id,
                     level: node.level(),
-                    key: elem.key,
+                    key,
                     rect: node.mbr(),
                 }
             }
-            Payload::Item(id, point) => Traversal::Item {
-                id,
-                point,
-                key: elem.key,
-            },
+            Payload::Item(id, point) => Traversal::Item { id, point, key },
         })
     }
 
@@ -165,30 +193,15 @@ impl<'a, K: FnMut(&Rect) -> f64> BestFirst<'a, K> {
     /// prune.
     pub fn expand(&mut self, node: NodeId) {
         self.tree.record_visit();
-        let n = self.tree.node(node);
-        // Stage first: `self.key` and `self.push` both borrow self. The
-        // staging buffer lives on the traversal, so steady-state expands
-        // reuse one allocation instead of building a fresh Vec per node.
-        let mut staged = std::mem::take(&mut self.staged);
-        staged.clear();
-        for e in n.entries() {
+        for e in self.tree.node(node).entries() {
             let k = (self.key)(e.rect());
             let payload = match e.child() {
                 Child::Node(id) => Payload::Node(id),
                 // lint:allow(hot_path_alloc) reason=owned Point required by the public Traversal API
                 Child::Item(id) => Payload::Item(id, e.point().clone()),
             };
-            staged.push((k, payload));
+            self.heap.push(k, payload);
         }
-        for (k, p) in staged.drain(..) {
-            self.push(k, p);
-        }
-        self.staged = staged;
-    }
-
-    /// Number of elements currently on the frontier.
-    pub fn frontier_len(&self) -> usize {
-        self.heap.len()
     }
 }
 

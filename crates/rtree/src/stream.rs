@@ -29,9 +29,9 @@
 //! leaves an unreadable (never a half-valid) tree.
 
 use crate::bulk::{tile, tile_rec};
-use crate::config::{entry_bytes, RTreeConfig, NODE_HEADER_BYTES};
-use crate::node::{Child, Entry, ItemId, Node, NodeId};
-use crate::persist::{PersistError, ITEM_TAG, MAGIC};
+use crate::config::RTreeConfig;
+use crate::node::{Entry, ItemId, Node, NodeId};
+use crate::persist::{check_fits, write_meta, write_node, PersistError};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use wnrs_geometry::{cmp_f64, Point, Rect};
@@ -80,13 +80,7 @@ where
     assert!(config.is_valid(), "invalid R*-tree configuration");
     assert!(dim > 0, "dimension must be positive");
     assert!(run_capacity > 0, "run_capacity must be positive");
-    let need = NODE_HEADER_BYTES + config.max_entries * entry_bytes(dim);
-    if need > pager.page_size() {
-        return Err(PersistError::Format(format!(
-            "node needs {need} bytes but pages hold {}",
-            pager.page_size()
-        )));
-    }
+    check_fits(&config, dim, pager.page_size())?;
     let rec_bytes = record_bytes(dim);
     let rpp = spill.page_size() / rec_bytes;
     if rpp == 0 {
@@ -440,64 +434,6 @@ fn directory_entries(current: &[(PageId, Rect)]) -> Vec<Entry> {
         .collect()
 }
 
-/// Serialises one node page — byte-for-byte the [`crate::persist::save`]
-/// node layout, with `child_page` mapping `NodeId`s to page ids.
-fn write_node<P: Pager>(
-    pager: &P,
-    page_id: PageId,
-    node: &Node,
-    dim: usize,
-    child_page: impl Fn(NodeId) -> u64,
-) -> Result<(), PersistError> {
-    let mut page = Page::zeroed(pager.page_size());
-    {
-        let mut enc = Encoder::new(page.bytes_mut());
-        enc.put_u32(node.level())?;
-        enc.put_u32(node.len() as u32)?;
-        for e in node.entries() {
-            let child = match e.child() {
-                Child::Item(item) => ITEM_TAG | item.0 as u64,
-                Child::Node(n) => child_page(n),
-            };
-            enc.put_u64(child)?;
-            for i in 0..dim {
-                enc.put_f64(e.rect().lo()[i])?;
-            }
-            for i in 0..dim {
-                enc.put_f64(e.rect().hi()[i])?;
-            }
-        }
-    }
-    pager.write_page(page_id, &page)?;
-    Ok(())
-}
-
-/// Writes the meta page ([`crate::persist`] layout).
-fn write_meta<P: Pager>(
-    pager: &P,
-    meta_page: PageId,
-    dim: usize,
-    height: u32,
-    len: usize,
-    root_page: PageId,
-    config: &RTreeConfig,
-) -> Result<(), PersistError> {
-    let mut page = Page::zeroed(pager.page_size());
-    {
-        let mut enc = Encoder::new(page.bytes_mut());
-        enc.put_u64(MAGIC)?;
-        enc.put_u32(dim as u32)?;
-        enc.put_u32(height)?;
-        enc.put_u64(len as u64)?;
-        enc.put_u64(root_page.0)?;
-        enc.put_u32(config.max_entries as u32)?;
-        enc.put_u32(config.min_entries as u32)?;
-        enc.put_u32(config.reinsert_count as u32)?;
-    }
-    pager.write_page(meta_page, &page)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,6 +573,7 @@ mod tests {
     #[test]
     fn paged_queries_agree_with_reference() {
         use crate::paged::PagedRTree;
+        use crate::source::{window_walk, WindowScratch};
         use std::sync::Arc;
         use wnrs_storage::BufferPool;
         let points = pts(3000, 2);
@@ -655,12 +592,12 @@ mod tests {
         let paged = PagedRTree::open(BufferPool::new(pager, 64), meta).expect("open");
         let reference = bulk_load(&points, config);
         let w = Rect::new(Point::xy(100.0, 100.0), Point::xy(600.0, 800.0));
-        let mut got: Vec<u32> = paged
-            .window(&w)
-            .expect("window")
-            .iter()
-            .map(|(id, _)| id.0)
-            .collect();
+        let mut got: Vec<u32> = Vec::new();
+        window_walk(&paged, &w, &mut WindowScratch::new(), |id, _| {
+            got.push(id.0);
+            false
+        })
+        .expect("window");
         got.sort_unstable();
         let mut want: Vec<u32> = reference.window(&w).iter().map(|(id, _)| id.0).collect();
         want.sort_unstable();

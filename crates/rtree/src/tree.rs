@@ -3,7 +3,9 @@
 
 use crate::config::RTreeConfig;
 use crate::node::{Child, Entry, ItemId, Node, NodeId};
+use crate::source::{into_ok, window_walk, NodeSource, WindowScratch};
 use crate::split::rstar_split;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wnrs_geometry::{cmp_f64, Point, Rect};
 
@@ -495,152 +497,30 @@ impl RTree {
     /// the paper's `window_query` primitive once the window is built with
     /// [`Rect::window`].
     pub fn window(&self, window: &Rect) -> Vec<(ItemId, Point)> {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
         let mut out = Vec::new();
-        self.window_into(window, &mut out);
+        into_ok(window_walk(
+            self,
+            window,
+            &mut WindowScratch::new(),
+            |id, p| {
+                out.push((id, Point::from(p)));
+                false
+            },
+        ));
         out
-    }
-
-    /// As [`RTree::window`], reusing an output buffer.
-    pub fn window_into(&self, window: &Rect, out: &mut Vec<(ItemId, Point)>) {
-        let mut scratch = WindowScratch::new();
-        self.window_into_with(window, &mut scratch, out);
-    }
-
-    /// As [`RTree::window_into`], additionally reusing the descent stack
-    /// in `scratch` — the allocation-free form for callers that issue
-    /// many window queries in a row.
-    pub fn window_into_with(
-        &self,
-        window: &Rect,
-        scratch: &mut WindowScratch,
-        out: &mut Vec<(ItemId, Point)>,
-    ) {
-        out.clear();
-        wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
-        if self.is_empty() {
-            return;
-        }
-        let stack = &mut scratch.stack;
-        stack.clear();
-        stack.push(self.root);
-        while let Some(node_id) = stack.pop() {
-            self.record_visit();
-            let node = self.node(node_id);
-            if node.is_leaf() {
-                for e in node.entries() {
-                    if window.contains_point(e.point()) {
-                        out.push((e.item_id(), e.point().clone()));
-                    }
-                }
-            } else {
-                for e in node.entries() {
-                    if window.intersects(e.rect()) {
-                        if let Child::Node(child) = e.child() {
-                            stack.push(child);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Whether any indexed point lies inside `window` (early-exit
     /// variant; the reverse-skyline membership test only needs emptiness).
     /// `skip` is invoked per candidate point and can exclude e.g. the
     /// customer's own tuple.
-    pub fn window_any(&self, window: &Rect, skip: impl FnMut(ItemId, &Point) -> bool) -> bool {
-        let mut scratch = WindowScratch::new();
-        self.window_any_with(window, &mut scratch, skip)
-    }
-
-    /// As [`RTree::window_any`], reusing the descent stack in `scratch`.
-    pub fn window_any_with(
-        &self,
-        window: &Rect,
-        scratch: &mut WindowScratch,
-        mut skip: impl FnMut(ItemId, &Point) -> bool,
-    ) -> bool {
-        wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
-        if self.is_empty() {
-            return false;
-        }
-        let stack = &mut scratch.stack;
-        stack.clear();
-        stack.push(self.root);
-        while let Some(node_id) = stack.pop() {
-            self.record_visit();
-            let node = self.node(node_id);
-            if node.is_leaf() {
-                for e in node.entries() {
-                    if window.contains_point(e.point()) && !skip(e.item_id(), e.point()) {
-                        return true;
-                    }
-                }
-            } else {
-                for e in node.entries() {
-                    if window.intersects(e.rect()) {
-                        if let Child::Node(child) = e.child() {
-                            stack.push(child);
-                        }
-                    }
-                }
-            }
-        }
-        false
-    }
-
-    /// Number of indexed points inside `window` without materialising
-    /// them (aggregate/count queries; also used by selectivity probes in
-    /// the benches).
-    pub fn window_count(&self, window: &Rect) -> usize {
-        assert_eq!(window.dim(), self.dim, "window dimensionality mismatch");
-        wnrs_obs::record(wnrs_obs::Counter::WindowQueries);
-        if self.is_empty() {
-            return 0;
-        }
-        let mut count = 0usize;
-        let mut stack = vec![self.root];
-        while let Some(node_id) = stack.pop() {
-            self.record_visit();
-            let node = self.node(node_id);
-            if node.is_leaf() {
-                count += node
-                    .entries()
-                    .iter()
-                    .filter(|e| window.contains_point(e.point()))
-                    .count();
-            } else {
-                for e in node.entries() {
-                    if window.contains_rect(e.rect()) && !node.is_leaf() {
-                        // Fully covered subtree: count it wholesale.
-                        count += self.subtree_len(e.child());
-                    } else if window.intersects(e.rect()) {
-                        if let Child::Node(child) = e.child() {
-                            stack.push(child);
-                        }
-                    }
-                }
-            }
-        }
-        count
-    }
-
-    fn subtree_len(&self, child: Child) -> usize {
-        match child {
-            Child::Item(_) => 1,
-            Child::Node(id) => {
-                let node = self.node(id);
-                if node.is_leaf() {
-                    node.len()
-                } else {
-                    node.entries()
-                        .iter()
-                        .map(|e| self.subtree_len(e.child()))
-                        .sum()
-                }
-            }
-        }
+    pub fn window_any(&self, window: &Rect, mut skip: impl FnMut(ItemId, &[f64]) -> bool) -> bool {
+        into_ok(window_walk(
+            self,
+            window,
+            &mut WindowScratch::new(),
+            |id, p| !skip(id, p),
+        ))
     }
 
     /// All `(id, point)` pairs in the tree, in arbitrary order.
@@ -681,23 +561,31 @@ impl RTree {
     }
 }
 
-/// Reusable descent state for the window-query family
-/// ([`RTree::window_into_with`], [`RTree::window_any_with`]).
-///
-/// A window query needs a node stack; constructing one per query puts an
-/// allocation on the per-customer hot path. Callers that issue many
-/// window queries hold one `WindowScratch` and pass it to the `_with`
-/// variants — after the first query the stack's allocation is reused.
-#[derive(Debug, Default)]
-pub struct WindowScratch {
-    stack: Vec<NodeId>,
-}
+impl NodeSource for RTree {
+    type NodeRef = NodeId;
+    type Node = Node;
+    type Buf = ();
+    type Error = Infallible;
 
-impl WindowScratch {
-    /// An empty scratch; allocates lazily on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn root_node(&self) -> Option<(NodeId, u32)> {
+        (!self.is_empty()).then_some((self.root, self.height - 1))
+    }
+
+    /// Lends the arena node in place and records one node visit.
+    fn read_node<'a>(
+        &'a self,
+        node: NodeId,
+        level: u32,
+        _buf: &'a mut (),
+    ) -> Result<&'a Node, Infallible> {
+        self.record_visit();
+        let node = self.node(node);
+        debug_assert_eq!(node.level(), level, "arena node off its level");
+        Ok(node)
     }
 }
 
@@ -753,20 +641,6 @@ mod tests {
                 .collect();
             want.sort_unstable();
             assert_eq!(got, want, "window {w:?}");
-        }
-    }
-
-    #[test]
-    fn window_count_matches_window() {
-        let (tree, pts) = build(500, 8);
-        let windows = [
-            Rect::new(Point::xy(10.0, 10.0), Point::xy(40.0, 60.0)),
-            Rect::new(Point::xy(0.0, 0.0), Point::xy(100.0, 100.0)),
-            Rect::new(Point::xy(99.5, 99.5), Point::xy(99.9, 99.9)),
-            Rect::degenerate(pts[3].clone()),
-        ];
-        for w in &windows {
-            assert_eq!(tree.window_count(w), tree.window(w).len(), "window {w:?}");
         }
     }
 

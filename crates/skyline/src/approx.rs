@@ -25,7 +25,7 @@ use wnrs_geometry::{
     cmp_f64, dominance::prune_dominated, dominates, dominates_components, Point, PointsView, Rect,
     Region,
 };
-use wnrs_rtree::{ItemId, RTree};
+use wnrs_rtree::{into_ok, ItemId, RTree};
 
 /// Samples a transformed-space DSL down to roughly `k` points: the first
 /// and last point of the sequence sorted by dimension 0 are always kept,
@@ -162,7 +162,12 @@ pub fn approx_dsl_sample_into<'s>(
     scratch: &'s mut ApproxDslScratch,
 ) -> PointsView<'s> {
     assert!(k > 0, "sample size k must be positive");
-    bbs_dynamic_skyline_scratch(tree, c, exclude, &mut scratch.bbs);
+    into_ok(bbs_dynamic_skyline_scratch(
+        tree,
+        c,
+        exclude,
+        &mut scratch.bbs,
+    ));
     let dim = tree.dim();
     flat_sample(
         scratch.bbs.dsl_t().coords(),

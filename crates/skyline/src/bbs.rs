@@ -7,34 +7,10 @@
 //! corner is dominated by an already-found skyline point can be pruned
 //! wholesale, which makes BBS I/O-optimal for skylines.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use wnrs_geometry::{abs_diff_into, cmp_f64, dominates, kernels, Point, PointsView, Rect};
-use wnrs_rtree::{BestFirst, Child, ItemId, NodeId, RTree, Traversal};
-
-/// The lower corner of `rect`'s image under the absolute-distance
-/// transform centred at `q`: per dimension, the minimum of `|x − q_i|`
-/// over `x ∈ [lo_i, hi_i]` (zero when `q_i` falls inside the range).
-///
-/// Every point inside `rect` transforms to a point dominating-or-equal to
-/// this corner, which is what lets BBS prune subtrees in the transformed
-/// space.
-pub fn transformed_lo(rect: &Rect, q: &Point) -> Point {
-    debug_assert_eq!(rect.dim(), q.dim());
-    Point::new(
-        (0..rect.dim())
-            .map(|i| {
-                if q[i] < rect.lo()[i] {
-                    rect.lo()[i] - q[i]
-                } else if q[i] > rect.hi()[i] {
-                    q[i] - rect.hi()[i]
-                } else {
-                    0.0
-                }
-            })
-            .collect::<Vec<_>>(),
-    )
-}
+use wnrs_geometry::{abs_diff_into, dominates, kernels, Point, PointsView, Rect};
+use wnrs_rtree::{
+    into_ok, BestFirst, Child, Frontier, ItemId, NodeId, NodeSource, NodeView, RTree, Traversal,
+};
 
 /// The static skyline of the indexed points via BBS, as `(id, point)`
 /// pairs in discovery (MINDIST) order.
@@ -104,37 +80,41 @@ pub fn bbs_dynamic_skyline_excluding(
     q: &Point,
     exclude: Option<ItemId>,
 ) -> Vec<(ItemId, Point)> {
+    into_ok(dynamic_skyline(tree, q, exclude))
+}
+
+/// The dynamic skyline w.r.t. `q` via BBS over either node source,
+/// ignoring the item `exclude`: `(id, point)` pairs in discovery order.
+///
+/// # Errors
+///
+/// Returns the source's error when a node read fails.
+pub fn dynamic_skyline<S: NodeSource>(
+    tree: &S,
+    q: &Point,
+    exclude: Option<ItemId>,
+) -> Result<Vec<(ItemId, Point)>, S::Error> {
     let mut scratch = BbsScratch::new();
-    bbs_dynamic_skyline_scratch(tree, q.coords(), exclude, &mut scratch);
-    scratch
+    bbs_dynamic_skyline_scratch(tree, q.coords(), exclude, &mut scratch)?;
+    let pts = scratch.points();
+    Ok(scratch
         .ids
         .iter()
-        .zip(scratch.locs.iter())
-        // lint:allow(hot_path_alloc) reason=compat wrapper materialises one owned point per result
-        .map(|(&id, &(nid, idx))| (id, tree.node(nid).entries()[idx as usize].point().clone()))
-        .collect()
+        .enumerate()
+        .map(|(i, &id)| (id, pts.get(i).to_point()))
+        .collect())
 }
 
-/// One heap element of the scratch-based BBS traversal. Mirrors the
-/// ordering of `BestFirst`'s internal heap exactly: smallest key pops
-/// first, ties broken FIFO by insertion sequence — so the scratch path
-/// replays the reference traversal bit for bit.
-#[derive(Debug)]
-struct ScratchElem {
-    key: f64,
-    seq: u64,
-    slot: Slot,
-}
-
-/// Heap payload: node to maybe-expand, or a leaf entry addressed by its
-/// position in the arena (no point clone — the coordinates are fetched
-/// from the tree when the element pops). Both variants carry the arena
-/// offset of their transformed-space lower bound ([`BbsScratch::tarena`])
-/// so the pop-time prune re-check never touches the tree.
+/// Heap payload of the BBS walk: a node to maybe-expand (with its
+/// level), or a leaf entry. Both carry the arena offset of their
+/// transformed-space lower bound ([`BbsScratch::tarena`]) so the
+/// pop-time prune re-check reads no node; an item also carries the
+/// offset of its original coordinates ([`BbsScratch::parena`]), since a
+/// page may leave the pool between push and pop.
 #[derive(Debug, Clone, Copy)]
-enum Slot {
-    Node(NodeId, u32),
-    Item(ItemId, NodeId, u32, u32),
+enum Slot<R> {
+    Node(R, u32, u32),
+    Item(ItemId, u32, u32),
 }
 
 /// Arena offset marking the root node, which has no parent entry (and
@@ -142,58 +122,45 @@ enum Slot {
 /// skyline, so no prune check is needed either).
 const ROOT_SENTINEL: u32 = u32::MAX;
 
-impl PartialEq for ScratchElem {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl Eq for ScratchElem {}
-impl PartialOrd for ScratchElem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ScratchElem {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so the smallest key pops first;
-        // break ties by insertion order for determinism.
-        cmp_f64(other.key, self.key).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Reusable state for [`bbs_dynamic_skyline_scratch`]: the best-first
-/// heap, the flat transformed-space skyline arena, the accepted item
-/// ids/locations, and a transform buffer.
+/// Reusable state for [`bbs_dynamic_skyline_scratch`] over a node
+/// source addressing nodes by `R` and decoding into `B` (the arena
+/// tree by default): the best-first frontier, the flat
+/// transformed-space skyline, the accepted items, and their buffers.
 ///
 /// One scratch serves any number of sequential queries; after a warm-up
 /// query has grown the buffers, further queries perform **zero** heap
 /// allocations. The store build holds one scratch per worker thread.
 #[derive(Debug, Default)]
-pub struct BbsScratch {
-    heap: BinaryHeap<ScratchElem>,
-    seq: u64,
+pub struct BbsScratch<R = NodeId, B = ()> {
+    heap: Frontier<Slot<R>>,
     dim: usize,
     /// Transformed-space skyline, flat (`len * dim` coords).
     sky_t: Vec<f64>,
     /// Accepted item ids, discovery order.
     ids: Vec<ItemId>,
-    /// Arena address (node, entry index) of each accepted item.
-    locs: Vec<(NodeId, u32)>,
+    /// Accepted items' original coordinates, flat, discovery order.
+    pts: Vec<f64>,
     /// Per-candidate transform buffer.
     tbuf: Vec<f64>,
     /// Transformed lower bounds of heap residents, flat (`dim` coords
     /// per pushed element): computed once at push time, reused for the
-    /// pop-time prune re-check instead of rescanning tree entries.
+    /// pop-time prune re-check.
     tarena: Vec<f64>,
+    /// Original coordinates of pushed leaf entries, flat.
+    parena: Vec<f64>,
+    /// Node decode buffer.
+    buf: B,
 }
 
-impl BbsScratch {
+impl<R: Default, B: Default> BbsScratch<R, B> {
     /// An empty scratch; buffers grow on first use and are then reused.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<R, B> BbsScratch<R, B> {
     /// Number of skyline points found by the last query.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -213,39 +180,16 @@ impl BbsScratch {
         PointsView::new(self.dim, &self.sky_t)
     }
 
+    /// The accepted items' original coordinates, discovery order.
+    #[must_use]
+    pub fn points(&self) -> PointsView<'_> {
+        PointsView::new(self.dim, &self.pts)
+    }
+
     /// The accepted item ids of the last query, in discovery order.
     #[must_use]
     pub fn ids(&self) -> &[ItemId] {
         &self.ids
-    }
-
-    fn reset(&mut self, dim: usize) {
-        self.heap.clear();
-        self.seq = 0;
-        self.dim = dim;
-        self.sky_t.clear();
-        self.ids.clear();
-        self.locs.clear();
-        self.tbuf.clear();
-        self.tarena.clear();
-    }
-
-    fn push(&mut self, key: f64, slot: Slot) {
-        wnrs_geometry::stats::record_heap_push();
-        self.seq += 1;
-        self.heap.push(ScratchElem {
-            key,
-            seq: self.seq,
-            slot,
-        });
-    }
-
-    /// Appends the current transform buffer to the arena and returns
-    /// its offset for a heap slot.
-    fn stash_tbuf(&mut self) -> u32 {
-        let off = self.tarena.len() as u32;
-        self.tarena.extend_from_slice(&self.tbuf);
-        off
     }
 }
 
@@ -256,103 +200,132 @@ fn any_dominates(sky: &[f64], dim: usize, t: &[f64]) -> bool {
     kernels::any_dominates_block(sky, dim, t)
 }
 
-/// Writes the lower corner of `rect`'s image under the absolute-distance
-/// transform centred at `q` into `out` — [`transformed_lo`] without the
-/// `Point` allocation. The parent entry's rectangle *is* the child's
-/// MBR (the R\*-tree keeps entry rectangles tight), so pruning against
-/// it decides exactly what recomputing the MBR from the child's own
-/// entries used to decide, at `O(dim)` instead of `O(fanout · dim)`.
-fn transformed_lo_into(rect: &Rect, q: &[f64], out: &mut Vec<f64>) {
-    rect.min_dists_into(q, out);
+/// Appends `coords` to a flat arena and returns their offset.
+fn stash(arena: &mut Vec<f64>, coords: &[f64]) -> u32 {
+    let off = arena.len() as u32;
+    arena.extend_from_slice(coords);
+    off
 }
 
-/// Allocation-free core of [`bbs_dynamic_skyline_excluding`]: runs the
-/// BBS traversal in the transformed space centred at `q`, leaving the
-/// results in `scratch` ([`BbsScratch::ids`], [`BbsScratch::dsl_t`]).
+/// The BBS dynamic-skyline walk over either node source: runs BBS in
+/// the transformed space centred at `q`, leaving the results in
+/// `scratch` ([`BbsScratch::ids`], [`BbsScratch::points`],
+/// [`BbsScratch::dsl_t`]).
 ///
-/// Results are identical to the allocating wrapper — the heap keys are
-/// computed with the bit-identical [`Rect::min_l1_coords`] kernel and
-/// ties break by the same insertion sequence. Entries already dominated
-/// by the skyline are pruned *at push time* (the skyline only grows, so
-/// anything dominated at push would be dominated at pop too); survivors
-/// carry their transformed lower bound in a flat arena, so the pop-time
-/// re-check costs `O(|skyline| · dim)` with no tree access and expanded
-/// nodes are scanned exactly once. After a warm-up query on the same
-/// tree shape the steady state performs zero heap allocations.
-pub fn bbs_dynamic_skyline_scratch(
-    tree: &RTree,
+/// Heap keys are the `min_l1` distance of each entry's box to `q`
+/// ([`kernels::min_l1_raw`]) and ties break by insertion sequence, so
+/// both sources visit entries in the same order. Entries already
+/// dominated by the skyline are pruned *at push time* (the skyline only
+/// grows, so anything dominated at push would be dominated at pop too);
+/// survivors carry their transformed lower bound in a flat arena, so the
+/// pop-time re-check costs `O(|skyline| · dim)` with no node read, and
+/// expanded nodes are read exactly once. A parent entry's box *is* its
+/// child's MBR (the R\*-tree keeps entry rectangles tight), so pruning
+/// against it decides what the child's own entries would. After a
+/// warm-up query on the same tree shape the steady state performs zero
+/// heap allocations.
+///
+/// # Errors
+///
+/// Returns the source's error when a node read fails.
+///
+/// # Panics
+///
+/// Panics when `q`'s length differs from the tree's dimensionality.
+pub fn bbs_dynamic_skyline_scratch<S: NodeSource>(
+    tree: &S,
     q: &[f64],
     exclude: Option<ItemId>,
-    scratch: &mut BbsScratch,
-) {
+    scratch: &mut BbsScratch<S::NodeRef, S::Buf>,
+) -> Result<(), S::Error> {
     assert_eq!(q.len(), tree.dim(), "query dimensionality mismatch");
     let _span = wnrs_obs::span!("bbs_dsl");
-    scratch.reset(q.len());
-    if tree.is_empty() {
-        return;
-    }
+    let BbsScratch {
+        heap,
+        dim,
+        sky_t,
+        ids,
+        pts,
+        tbuf,
+        tarena,
+        parena,
+        buf,
+    } = scratch;
+    heap.clear();
+    *dim = q.len();
+    let dim = *dim;
+    sky_t.clear();
+    ids.clear();
+    pts.clear();
+    tbuf.clear();
+    tarena.clear();
+    parena.clear();
     // The root is the heap's only element at this point, so its key is
     // never compared against anything and it pops against an empty
-    // skyline: push 0.0 with the sentinel offset instead of computing a
-    // real bound.
-    scratch.push(0.0, Slot::Node(tree.root(), ROOT_SENTINEL));
-    while let Some(elem) = scratch.heap.pop() {
-        match elem.slot {
-            Slot::Node(nid, off) => {
+    // skyline: push 0.0 with the sentinel offset instead of a bound.
+    if let Some((root, level)) = tree.root_node() {
+        heap.push(0.0, Slot::Node(root, level, ROOT_SENTINEL));
+    }
+    while let Some((_, slot)) = heap.pop() {
+        match slot {
+            Slot::Node(node, level, off) => {
                 if off != ROOT_SENTINEL {
                     let at = off as usize;
-                    let t = &scratch.tarena[at..at + scratch.dim];
-                    if any_dominates(&scratch.sky_t, scratch.dim, t) {
+                    if any_dominates(sky_t, dim, &tarena[at..at + dim]) {
                         continue;
                     }
                 }
-                let node = tree.node(nid);
-                tree.record_visit();
-                for (idx, e) in node.entries().iter().enumerate() {
-                    let key = e.rect().min_l1_coords(q);
-                    match e.child() {
+                for (child, lo, hi) in tree.read_node(node, level, buf)?.iter() {
+                    let key = kernels::min_l1_raw(lo, hi, q);
+                    match child {
                         Child::Node(child) => {
-                            transformed_lo_into(e.rect(), q, &mut scratch.tbuf);
-                            if any_dominates(&scratch.sky_t, scratch.dim, &scratch.tbuf) {
+                            kernels::min_dists_into_raw(lo, hi, q, tbuf);
+                            if any_dominates(sky_t, dim, tbuf) {
                                 continue;
                             }
-                            let t_off = scratch.stash_tbuf();
-                            scratch.push(key, Slot::Node(child, t_off));
+                            let t_off = stash(tarena, tbuf);
+                            heap.push(key, Slot::Node(child, level - 1, t_off));
                         }
                         Child::Item(id) => {
                             if Some(id) == exclude {
                                 continue;
                             }
-                            abs_diff_into(e.point().coords(), q, &mut scratch.tbuf);
-                            if any_dominates(&scratch.sky_t, scratch.dim, &scratch.tbuf) {
+                            abs_diff_into(lo, q, tbuf);
+                            if any_dominates(sky_t, dim, tbuf) {
                                 continue;
                             }
-                            let t_off = scratch.stash_tbuf();
-                            scratch.push(key, Slot::Item(id, nid, idx as u32, t_off));
+                            let t_off = stash(tarena, tbuf);
+                            let p_off = stash(parena, lo);
+                            heap.push(key, Slot::Item(id, t_off, p_off));
                         }
                     }
                 }
             }
-            Slot::Item(id, nid, idx, off) => {
-                let at = off as usize;
-                let t = &scratch.tarena[at..at + scratch.dim];
-                if any_dominates(&scratch.sky_t, scratch.dim, t) {
+            Slot::Item(id, t_off, p_off) => {
+                let at = t_off as usize;
+                let t = &tarena[at..at + dim];
+                if any_dominates(sky_t, dim, t) {
                     continue;
                 }
-                scratch.sky_t.extend_from_slice(t);
-                scratch.ids.push(id);
-                scratch.locs.push((nid, idx));
+                sky_t.extend_from_slice(t);
+                ids.push(id);
+                let at = p_off as usize;
+                pts.extend_from_slice(&parena[at..at + dim]);
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bnl::bnl_skyline;
+    use std::sync::Arc;
     use wnrs_rtree::bulk::bulk_load;
-    use wnrs_rtree::RTreeConfig;
+    use wnrs_rtree::persist::save;
+    use wnrs_rtree::{PagedRTree, RTreeConfig};
+    use wnrs_storage::{BufferPool, MemPager};
 
     fn pseudo_points(n: usize, seed: u64, dim: usize) -> Vec<Point> {
         let mut state = seed;
@@ -434,7 +407,12 @@ mod tests {
         ];
         for (qi, q) in queries.iter().enumerate() {
             let want = bbs_dynamic_skyline_excluding(&tree, q, Some(ItemId(7)));
-            bbs_dynamic_skyline_scratch(&tree, q.coords(), Some(ItemId(7)), &mut scratch);
+            into_ok(bbs_dynamic_skyline_scratch(
+                &tree,
+                q.coords(),
+                Some(ItemId(7)),
+                &mut scratch,
+            ));
             assert_eq!(scratch.len(), want.len(), "query {qi}");
             for (i, (id, p)) in want.iter().enumerate() {
                 assert_eq!(scratch.ids()[i], *id, "query {qi} item {i}");
@@ -452,16 +430,20 @@ mod tests {
 
     #[test]
     fn transformed_lo_cases() {
+        // The lower corner of a box's image under the transform centred
+        // at q, as the walk computes it for its prune bounds.
         let r = Rect::new(Point::xy(2.0, 2.0), Point::xy(4.0, 4.0));
+        let lo = |q: [f64; 2]| {
+            let mut out = Vec::new();
+            kernels::min_dists_into_raw(r.lo().coords(), r.hi().coords(), &q, &mut out);
+            out
+        };
         // q inside in x, below in y.
-        let lo = transformed_lo(&r, &Point::xy(3.0, 0.0));
-        assert!(lo.same_location(&Point::xy(0.0, 2.0)));
+        assert_eq!(lo([3.0, 0.0]), [0.0, 2.0]);
         // q beyond the upper corner.
-        let lo = transformed_lo(&r, &Point::xy(10.0, 10.0));
-        assert!(lo.same_location(&Point::xy(6.0, 6.0)));
+        assert_eq!(lo([10.0, 10.0]), [6.0, 6.0]);
         // q inside the rect entirely.
-        let lo = transformed_lo(&r, &Point::xy(3.0, 3.0));
-        assert!(lo.same_location(&Point::xy(0.0, 0.0)));
+        assert_eq!(lo([3.0, 3.0]), [0.0, 0.0]);
     }
 
     #[test]
@@ -474,5 +456,77 @@ mod tests {
         let got = bbs_dynamic_skyline(&tree, &Point::xy(50.0, 50.0));
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].0 .0 as usize, pts.len() - 1);
+    }
+
+    /// A copy of `tree` behind a `pool_pages`-page buffer pool.
+    fn paged_copy(tree: &RTree, pool_pages: usize) -> PagedRTree<MemPager> {
+        let pager = Arc::new(MemPager::paper_default());
+        let meta = save(tree, pager.as_ref()).expect("save");
+        PagedRTree::open(BufferPool::new(pager, pool_pages), meta).expect("open")
+    }
+
+    #[test]
+    fn matches_in_memory_scratch_bit_for_bit() {
+        for (seed, dim) in [(7u64, 2usize), (8, 2), (5, 3)] {
+            let pts = pseudo_points(600, seed, dim);
+            let tree = bulk_load(&pts, RTreeConfig::paper_default(dim));
+            let paged = paged_copy(&tree, 64);
+            let mut mem = BbsScratch::new();
+            let mut pg = BbsScratch::new();
+            let queries: Vec<Point> = pts.iter().take(25).cloned().collect();
+            for (qi, q) in queries.iter().enumerate() {
+                let exclude = Some(ItemId(qi as u32));
+                into_ok(bbs_dynamic_skyline_scratch(
+                    &tree,
+                    q.coords(),
+                    exclude,
+                    &mut mem,
+                ));
+                bbs_dynamic_skyline_scratch(&paged, q.coords(), exclude, &mut pg).expect("paged");
+                assert_eq!(pg.ids(), mem.ids(), "seed {seed} query {qi}");
+                assert_eq!(
+                    pg.dsl_t().coords(),
+                    mem.dsl_t().coords(),
+                    "seed {seed} query {qi}: transformed skylines diverge"
+                );
+                // Original coordinates round-trip through the pages.
+                for (i, id) in pg.ids().iter().enumerate() {
+                    assert_eq!(
+                        pg.points().get(i).coords(),
+                        pts[id.0 as usize].coords(),
+                        "seed {seed} query {qi} item {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_pool_still_exact() {
+        let pts = pseudo_points(3000, 99, 2);
+        let tree = bulk_load(&pts, RTreeConfig::paper_default(2));
+        let paged = paged_copy(&tree, 4);
+        let mut mem = BbsScratch::new();
+        let mut pg = BbsScratch::new();
+        let q = Point::xy(41.0, 67.0);
+        into_ok(bbs_dynamic_skyline_scratch(
+            &tree,
+            q.coords(),
+            None,
+            &mut mem,
+        ));
+        bbs_dynamic_skyline_scratch(&paged, q.coords(), None, &mut pg).expect("paged");
+        assert_eq!(pg.ids(), mem.ids());
+        assert!(paged.pool().resident() <= 4);
+    }
+
+    #[test]
+    fn empty_exclusion_of_everything_is_fine() {
+        let pts = vec![Point::xy(1.0, 1.0)];
+        let tree = bulk_load(&pts, RTreeConfig::paper_default(2));
+        let paged = paged_copy(&tree, 4);
+        let mut pg = BbsScratch::new();
+        bbs_dynamic_skyline_scratch(&paged, &[0.0, 0.0], Some(ItemId(0)), &mut pg).expect("paged");
+        assert!(pg.is_empty());
     }
 }

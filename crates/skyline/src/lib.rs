@@ -6,7 +6,8 @@
 //! * [`sfs`] — sort-filter-skyline (presorting by a monotone score);
 //! * [`bbs`] — branch-and-bound skyline over the R\*-tree (Papadias et
 //!   al., SIGMOD'03), in both the static space and the
-//!   absolute-distance-transformed space (dynamic skyline);
+//!   absolute-distance-transformed space (dynamic skyline), the latter
+//!   over either node source (arena or pages);
 //! * [`dynamic`] — dynamic skylines (Definition 2 of the paper);
 //! * [`ddr`] — decomposition of the dynamic anti-dominance region
 //!   `anti-DDR(c)` into origin-anchored boxes (the rectangles of the
@@ -24,7 +25,6 @@ pub mod bnl;
 pub mod dc;
 pub mod ddr;
 pub mod dynamic;
-pub mod paged;
 pub mod sfs;
 pub mod skyband;
 
@@ -33,12 +33,11 @@ pub use approx::{
 };
 pub use bbs::{
     bbs_dynamic_skyline, bbs_dynamic_skyline_excluding, bbs_dynamic_skyline_scratch, bbs_skyline,
-    transformed_lo, BbsScratch,
+    dynamic_skyline, BbsScratch,
 };
 pub use bnl::bnl_skyline;
 pub use dc::dc_skyline;
 pub use ddr::{anti_ddr, anti_ddr_general, anti_ddr_original_space};
 pub use dynamic::{dynamic_skyline_scan, is_in_dynamic_skyline};
-pub use paged::{paged_bbs_dynamic_skyline, PagedBbsScratch};
 pub use sfs::sfs_skyline;
 pub use skyband::{dominance_count, dynamic_k_skyband, k_skyband};

@@ -15,7 +15,7 @@ use wnrs_geometry::{
     abs_diff_into, cmp_f64, dominance::prune_dominated, dominates, dominates_components, Point,
 };
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{ItemId, RTreeConfig};
+use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
 use wnrs_skyline::{
     bbs_dynamic_skyline_excluding, bbs_dynamic_skyline_scratch, sample_dsl, BbsScratch,
 };
@@ -99,9 +99,19 @@ fn scratch_reuse_across_hundred_queries_matches_fresh_state() {
     for i in 0..100u32 {
         let q = &pts[i as usize];
         let exclude = Some(ItemId(i));
-        bbs_dynamic_skyline_scratch(&tree, q.coords(), exclude, &mut reused);
+        into_ok(bbs_dynamic_skyline_scratch(
+            &tree,
+            q.coords(),
+            exclude,
+            &mut reused,
+        ));
         let mut fresh = BbsScratch::new();
-        bbs_dynamic_skyline_scratch(&tree, q.coords(), exclude, &mut fresh);
+        into_ok(bbs_dynamic_skyline_scratch(
+            &tree,
+            q.coords(),
+            exclude,
+            &mut fresh,
+        ));
         assert_eq!(reused.ids(), fresh.ids(), "query {i}: id sequence diverged");
         assert_eq!(
             reused.dsl_t().coords(),

@@ -6,7 +6,7 @@ use std::fmt;
 pub const PAPER_PAGE_SIZE: usize = 1536;
 
 /// Identifier of a page within a pager. Dense, starting at zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PageId(pub u64);
 
 impl PageId {

@@ -26,15 +26,18 @@ const HOT_PATHS: [&str; 4] = [
 /// Modules designated allocation-free for the `hot_path_alloc` rule:
 /// their inner loops run once per customer (or per tree node) and must
 /// not produce per-element heap traffic. Cold setup paths use the
-/// `lint:allow(hot_path_alloc)` escape. The paged traversal kernels are
-/// included: they sit under every out-of-core query, where a stray
-/// per-entry allocation multiplies by the page fan-out.
-const ALLOC_HOT_PATHS: [&str; 8] = [
+/// `lint:allow(hot_path_alloc)` escape. The index walks are included —
+/// the window walk, the membership probe, BBS and BBRS's global skyline,
+/// each written once over both node sources — and so is the page decode
+/// under every out-of-core read, where a stray per-entry allocation
+/// multiplies by the page fan-out.
+const ALLOC_HOT_PATHS: [&str; 9] = [
     "crates/skyline/src/bbs.rs",
-    "crates/skyline/src/paged.rs",
     "crates/rtree/src/query.rs",
+    "crates/rtree/src/source.rs",
     "crates/rtree/src/paged.rs",
-    "crates/reverse-skyline/src/paged.rs",
+    "crates/reverse-skyline/src/window.rs",
+    "crates/reverse-skyline/src/bbrs.rs",
     "crates/geometry/src/dominance.rs",
     "crates/geometry/src/kernels.rs",
     "crates/core/src/cache.rs",
@@ -152,9 +155,10 @@ mod tests {
         assert!(classify("crates/geometry/src/dominance.rs").alloc_hot_path);
         assert!(classify("crates/geometry/src/kernels.rs").alloc_hot_path);
         assert!(classify("crates/core/src/cache.rs").alloc_hot_path);
-        assert!(classify("crates/skyline/src/paged.rs").alloc_hot_path);
+        assert!(classify("crates/rtree/src/source.rs").alloc_hot_path);
         assert!(classify("crates/rtree/src/paged.rs").alloc_hot_path);
-        assert!(classify("crates/reverse-skyline/src/paged.rs").alloc_hot_path);
+        assert!(classify("crates/reverse-skyline/src/window.rs").alloc_hot_path);
+        assert!(classify("crates/reverse-skyline/src/bbrs.rs").alloc_hot_path);
         assert!(!classify("crates/skyline/src/approx.rs").alloc_hot_path);
         assert!(!classify("crates/core/src/paged.rs").alloc_hot_path);
         assert!(classify("crates/geometry/src/point.rs").float_boundary);

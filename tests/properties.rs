@@ -180,6 +180,7 @@ mod invariant_checks {
     use wnrs::geometry::{dominates, dominates_dyn};
     use wnrs::prelude::*;
     use wnrs::reverse_skyline::bbrs_reverse_skyline;
+    use wnrs::rtree::into_ok;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -224,7 +225,7 @@ mod invariant_checks {
             prop_assert!(sr.is_canonical());
             let contributors: Vec<Region> = rsl
                 .iter()
-                .map(|(id, c)| anti_ddr_of(&tree, c, Some(*id), &universe, 0.0))
+                .map(|(id, c)| into_ok(anti_ddr_of(&tree, c, Some(*id), &universe, 0.0)))
                 .collect();
             prop_assert!(sr_contained_in_contributors(&sr, &contributors));
         }

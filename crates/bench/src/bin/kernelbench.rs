@@ -1,41 +1,33 @@
-//! Measures the batched dominance/transform/min-distance kernels under
-//! both dispatch policies across d = 2…10 and writes the
-//! `BENCH_kernels.json` summary at the repository root.
+//! Times each shipped dominance/min-distance kernel against its scalar
+//! reference loop across d = 2…10.
 //!
 //! ```text
 //! cargo run --release -p wnrs-bench --bin kernelbench [-- --smoke]
 //! ```
 //!
-//! Two sections:
+//! Each row is the throughput of one kernel family over a
+//! cache-resident 4000-row block with 64 rotating query rows (the
+//! BBS/BBRS probe pattern: same block, changing thresholds, so the
+//! branch predictor cannot memorise one query's outcome pattern):
 //!
-//! * **micro** — throughput of the three kernel families over a
-//!   cache-resident 4000-row block with 64 rotating query rows (the
-//!   BBS/BBRS probe pattern: same block, changing thresholds, so the
-//!   branch predictor cannot memorise one query's outcome pattern).
-//!   Each measurement is the *minimum* over repeats — the right
-//!   statistic on a single-core host where any interruption only ever
-//!   inflates a sample.
-//! * **e2e** — `approx_store_build` (per-customer BBS over the whole
-//!   dataset — the heaviest dominance consumer in the system) at
-//!   d ∈ {2, 5, 8, 10} and `mwq` at d ∈ {2, 5}, scalar vs chunked,
-//!   answers cross-checked byte-identical between the two dispatches.
-//!   MWQ's region search is exponential in d regardless of kernel
-//!   dispatch (see EXPERIMENTS.md), so timing it at d ≥ 8 would
-//!   measure that combinatorial wall, not kernel throughput.
+//! * **dominance** — [`kernels::count_dominating_block`] against the
+//!   per-row [`kernels::dominates_scalar`] fold;
+//! * **min_dist** — [`kernels::min_l1_chunked`] against
+//!   [`kernels::min_l1_scalar`].
+//!
+//! Each measurement is the *minimum* over repeats — the right statistic
+//! on a single-core host where any interruption only ever inflates a
+//! sample — and both sides' checksums must agree. End-to-end timing is
+//! the why-not benchmark's job (`whynotbench/`); `BENCH_kernels.json`
+//! keeps the original study, with its end-to-end rows and the transform
+//! ablation.
 //!
 //! Acceptance (full-scale runs only): chunked dominance throughput at
-//! d = 8 must be ≥ 2x scalar, and the best e2e speedup at d ≥ 5 must
-//! clear 1.05x. `--smoke` shrinks everything for CI — same code path,
-//! no acceptance bars, and no JSON write (the committed summary stays a
-//! full-scale run).
+//! d = 8 must be ≥ 2x scalar. `--smoke` shrinks everything for CI —
+//! same code path, no acceptance bar.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
-use wnrs_core::WhyNotEngine;
-use wnrs_data::select_why_not;
-use wnrs_geometry::{kernels, kernels::KernelDispatch, Point};
-use wnrs_rtree::{ItemId, RTreeConfig};
+use wnrs_geometry::kernels;
 
 const SEED: u64 = 20_130_408;
 
@@ -45,34 +37,6 @@ const MICRO_ROWS: usize = 4_000;
 
 /// Distinct query rows cycled through the micro loops.
 const MICRO_QUERIES: usize = 64;
-
-struct MicroCase {
-    kernel: &'static str,
-    d: usize,
-    scalar_secs: f64,
-    chunked_secs: f64,
-    rows: u64,
-}
-
-struct E2eCase {
-    phase: &'static str,
-    d: usize,
-    n: usize,
-    scalar_secs: f64,
-    chunked_secs: f64,
-}
-
-impl MicroCase {
-    fn speedup(&self) -> f64 {
-        self.scalar_secs / self.chunked_secs
-    }
-}
-
-impl E2eCase {
-    fn speedup(&self) -> f64 {
-        self.scalar_secs / self.chunked_secs
-    }
-}
 
 fn main() {
     let obs = wnrs_bench::ObsSession::from_args();
@@ -103,14 +67,33 @@ fn time_min(reps: usize, mut f: impl FnMut() -> usize) -> (f64, usize) {
     (best, out)
 }
 
+/// XOR of the bits of `kernel(lo, hi, t)` over every query `t` and
+/// every box `[lo, hi]` of the two `d`-wide corner blocks. Generic over
+/// the kernel so each side is monomorphised and inlined alike.
+fn min_dist_bits(
+    lo_block: &[f64],
+    hi_block: &[f64],
+    d: usize,
+    queries: &[Vec<f64>],
+    kernel: impl Fn(&[f64], &[f64], &[f64]) -> f64,
+) -> usize {
+    let mut bits = 0u64;
+    for t in queries {
+        for (lo, hi) in lo_block.chunks_exact(d).zip(hi_block.chunks_exact(d)) {
+            bits ^= kernel(lo, hi, t).to_bits();
+        }
+    }
+    bits as usize
+}
+
 fn run(smoke: bool) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let (rows, reps, e2e_n, e2e_reps) = if smoke {
-        (256usize, 3usize, 300usize, 1usize)
+    let (rows, reps) = if smoke {
+        (256usize, 3usize)
     } else {
-        (MICRO_ROWS, 60, 3_000, 3)
+        (MICRO_ROWS, 60)
     };
     println!(
         "kernelbench: {rows}-row resident block x {MICRO_QUERIES} rotating queries, \
@@ -118,7 +101,7 @@ fn run(smoke: bool) {
         if smoke { " (smoke)" } else { "" }
     );
 
-    let mut micro: Vec<MicroCase> = Vec::new();
+    let mut dom8 = 0.0f64;
     println!(
         "\n{:>3} {:>12} {:>14} {:>14} {:>8}",
         "d", "kernel", "scalar Mrow/s", "chunked Mrow/s", "speedup"
@@ -127,262 +110,61 @@ fn run(smoke: bool) {
         let mut st = SEED | 1;
         let block: Vec<f64> = (0..rows * d).map(|_| xorshift(&mut st)).collect();
         // Thresholds biased to the middle of the value range: dominance
-        // outcomes stay mixed, so neither dispatch gets an all-false
+        // outcomes stay mixed, so neither kernel gets an all-false
         // early-out pattern to coast on.
         let queries: Vec<Vec<f64>> = (0..MICRO_QUERIES)
             .map(|_| (0..d).map(|_| xorshift(&mut st) * 0.5 + 0.25).collect())
             .collect();
         let total_rows = (rows * MICRO_QUERIES) as u64;
 
-        let dominance = |_: ()| {
+        let (dom_s, check_s) = time_min(reps, || {
+            let mut n = 0usize;
+            for t in &queries {
+                n += block
+                    .chunks_exact(d)
+                    .filter(|row| kernels::dominates_scalar(row, t))
+                    .count();
+            }
+            n
+        });
+        let (dom_c, check_c) = time_min(reps, || {
             let mut n = 0usize;
             for t in &queries {
                 n += kernels::count_dominating_block(&block, d, t);
             }
             n
-        };
-        // The transform row measures the lane-chunked variant
-        // *directly*: the production dispatcher routes both dispatches
-        // to the scalar stream loop (already auto-vectorised — see
-        // `kernels::abs_diff_into_raw`), and this ablation is the
-        // recorded evidence for that routing decision.
-        let mut buf: Vec<f64> = Vec::with_capacity(d);
-        let mut transform = |_: ()| {
-            let mut bits = 0u64;
-            let chunked = kernels::current() == KernelDispatch::Chunked;
-            for t in &queries {
-                for row in block.chunks_exact(d) {
-                    if chunked {
-                        kernels::abs_diff_into_chunked(row, t, &mut buf);
-                    } else {
-                        kernels::abs_diff_into_scalar(row, t, &mut buf);
-                    }
-                    bits ^= buf[0].to_bits();
-                }
-            }
-            bits as usize
-        };
+        });
+        assert_eq!(check_s, check_c, "dominance counts diverged at d={d}");
         // Min-distance probes: each block row is a rectangle corner
         // with a fixed extent, as in best-first priority computation.
         let ext = 0.125f64;
         let hi_block: Vec<f64> = block.iter().map(|v| v + ext).collect();
-        let min_dist = |_: ()| {
-            let mut bits = 0u64;
-            for t in &queries {
-                for (lo, hi) in block.chunks_exact(d).zip(hi_block.chunks_exact(d)) {
-                    bits ^= kernels::min_l1_raw(lo, hi, t).to_bits();
-                }
-            }
-            bits as usize
-        };
-
-        kernels::set_dispatch(KernelDispatch::Scalar);
-        let (dom_s, check_s) = time_min(reps, || dominance(()));
-        let (tr_s, tr_cs) = time_min(reps, || transform(()));
-        let (md_s, md_cs) = time_min(reps, || min_dist(()));
-        kernels::set_dispatch(KernelDispatch::Chunked);
-        let (dom_c, check_c) = time_min(reps, || dominance(()));
-        let (tr_c, tr_cc) = time_min(reps, || transform(()));
-        let (md_c, md_cc) = time_min(reps, || min_dist(()));
-        assert_eq!(check_s, check_c, "dominance counts diverged at d={d}");
-        assert_eq!(tr_cs, tr_cc, "transform checksums diverged at d={d}");
+        let (md_s, md_cs) = time_min(reps, || {
+            min_dist_bits(&block, &hi_block, d, &queries, kernels::min_l1_scalar)
+        });
+        let (md_c, md_cc) = time_min(reps, || {
+            min_dist_bits(&block, &hi_block, d, &queries, kernels::min_l1_chunked)
+        });
         assert_eq!(md_cs, md_cc, "min-dist checksums diverged at d={d}");
 
-        for (kernel, s, c) in [
-            ("dominance", dom_s, dom_c),
-            ("transform", tr_s, tr_c),
-            ("min_dist", md_s, md_c),
-        ] {
+        for (kernel, s, c) in [("dominance", dom_s, dom_c), ("min_dist", md_s, md_c)] {
             println!(
                 "{d:>3} {kernel:>12} {:>14.1} {:>14.1} {:>7.2}x",
                 total_rows as f64 / s / 1e6,
                 total_rows as f64 / c / 1e6,
                 s / c
             );
-            micro.push(MicroCase {
-                kernel,
-                d,
-                scalar_secs: s,
-                chunked_secs: c,
-                rows: total_rows,
-            });
+        }
+        if d == 8 {
+            dom8 = dom_s / dom_c;
         }
     }
 
-    let mut e2e: Vec<E2eCase> = Vec::new();
-    println!(
-        "\n{:>3} {:>8} {:>20} {:>12} {:>12} {:>8}",
-        "d", "n", "phase", "scalar s", "chunked s", "speedup"
-    );
-    for d in [2usize, 5, 8, 10] {
-        let (s_build, c_build, mwq_times) = e2e_at(d, e2e_n, e2e_reps, d <= 5);
-        let mut phases = vec![("approx_store_build", s_build, c_build)];
-        if let Some((s_mwq, c_mwq)) = mwq_times {
-            phases.push(("mwq", s_mwq, c_mwq));
-        }
-        for (phase, s, c) in phases {
-            println!(
-                "{d:>3} {e2e_n:>8} {phase:>20} {s:>12.4} {c:>12.4} {:>7.2}x",
-                s / c
-            );
-            e2e.push(E2eCase {
-                phase,
-                d,
-                n: e2e_n,
-                scalar_secs: s,
-                chunked_secs: c,
-            });
-        }
-    }
-
-    if smoke {
-        println!("[skipping BENCH_kernels.json]");
-    } else {
-        write_summary(&micro, &e2e, cores);
-        let dom8 = micro
-            .iter()
-            .find(|m| m.kernel == "dominance" && m.d == 8)
-            .map(MicroCase::speedup)
-            .unwrap_or(0.0);
+    if !smoke {
         assert!(
             dom8 >= 2.0,
             "acceptance: chunked dominance at d=8 is {dom8:.2}x scalar, below the 2x bar"
         );
-        let best_e2e = e2e
-            .iter()
-            .filter(|c| c.d >= 5)
-            .map(|c| c.speedup())
-            .fold(f64::MIN, f64::max);
-        assert!(
-            best_e2e >= 1.05,
-            "acceptance: best end-to-end speedup at d>=5 is {best_e2e:.3}x, below the 1.05x bar"
-        );
-        println!(
-            "[acceptance: dominance d=8 {dom8:.2}x >= 2x, best e2e d>=5 {best_e2e:.2}x >= 1.05x]"
-        );
-    }
-}
-
-/// Finds a query with a small reverse skyline (1 ≤ |RSL| ≤ 16) by
-/// stepping a corner query inward from outside the unit-cube data
-/// bounds. A *central* uniform high-d query holds hundreds of RSL
-/// members (every perturbation of a data point does too), and the
-/// downstream safe-region / MWQ cost grows combinatorially with |RSL| —
-/// the sweep measures kernel throughput, not that blow-up. An exterior
-/// query collapses the reverse skyline to the handful of points nearest
-/// its corner.
-fn small_rsl_query(engine: &WhyNotEngine) -> (Point, Vec<(ItemId, Point)>) {
-    let d = engine.dim();
-    let mut fallback = None;
-    for off in [-0.5f64, -0.35, -0.2, -0.1, -0.05, 0.0] {
-        let q = Point::new(vec![off; d]);
-        let rsl = engine.reverse_skyline(&q);
-        if (1..=16).contains(&rsl.len()) {
-            return (q, rsl);
-        }
-        if !rsl.is_empty() && fallback.is_none() {
-            fallback = Some((q, rsl));
-        }
-    }
-    if let Some(fb) = fallback {
-        return fb;
-    }
-    // Every exterior offset had an empty reverse skyline (degenerate
-    // dataset): fall back to the data centre, whatever its |RSL|.
-    let q = Point::new(vec![0.5; d]);
-    let rsl = engine.reverse_skyline(&q);
-    (q, rsl)
-}
-
-/// Times `build_approx_store` at dimension `d` under both dispatches
-/// (and `mwq` too when `with_mwq`), cross-checking that answers render
-/// identically. Returns `(scalar_build, chunked_build,
-/// Some((scalar_mwq, chunked_mwq)))`.
-fn e2e_at(d: usize, n: usize, reps: usize, with_mwq: bool) -> (f64, f64, Option<(f64, f64)>) {
-    let mut rng = StdRng::seed_from_u64(SEED ^ d as u64);
-    let points = wnrs_data::uniform(&mut rng, n, d);
-    let engine = WhyNotEngine::with_config(points, RTreeConfig::paper_default(d));
-    let (q, rsl) = small_rsl_query(&engine);
-    let id = select_why_not(engine.points(), &rsl, &mut rng).unwrap_or(ItemId(0));
-    let k = 8usize;
-
-    let run_once = || {
-        let (build_secs, store) = {
-            let clock = Instant::now();
-            let store = engine.build_approx_store(k);
-            (clock.elapsed().as_secs_f64(), store)
-        };
-        if !with_mwq {
-            return (build_secs, 0.0, String::new());
-        }
-        let sr = engine.approx_safe_region_for(&q, &rsl, &store);
-        let clock = Instant::now();
-        let ans = engine.mwq(id, &q, &sr);
-        let mwq_secs = clock.elapsed().as_secs_f64();
-        (build_secs, mwq_secs, format!("{sr:?} {ans:?}"))
-    };
-
-    let time_phase = |reps: usize| {
-        let mut best_build = f64::MAX;
-        let mut best_mwq = f64::MAX;
-        let mut rendered = String::new();
-        for _ in 0..reps {
-            let (b, m, r) = run_once();
-            best_build = best_build.min(b);
-            best_mwq = best_mwq.min(m);
-            rendered = r;
-        }
-        (best_build, best_mwq, rendered)
-    };
-
-    kernels::set_dispatch(KernelDispatch::Scalar);
-    let (s_build, s_mwq, s_answers) = time_phase(reps);
-    kernels::set_dispatch(KernelDispatch::Chunked);
-    let (c_build, c_mwq, c_answers) = time_phase(reps);
-    assert_eq!(s_answers, c_answers, "e2e answers diverged at d={d}");
-    let mwq = with_mwq.then_some((s_mwq, c_mwq));
-    (s_build, c_build, mwq)
-}
-
-fn write_summary(micro: &[MicroCase], e2e: &[E2eCase], cores: usize) {
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"hardware\": {{ \"available_cores\": {cores}, \"note\": \"single-core wall-clock, minimum over repeats; speedups isolate instruction-level parallelism of the chunked kernels, not multi-core scaling\" }},\n"
-    ));
-    json.push_str(&format!(
-        "  \"seed\": {SEED},\n  \"engine_mode\": \"in_memory\",\n  \"micro\": {{ \"rows\": {MICRO_ROWS}, \"queries\": {MICRO_QUERIES}, \"cases\": [\n"
-    ));
-    let lines: Vec<String> = micro
-        .iter()
-        .map(|m| {
-            format!(
-                "    {{ \"kernel\": \"{}\", \"d\": {}, \"scalar_mrows_per_sec\": {:.1}, \"chunked_mrows_per_sec\": {:.1}, \"speedup\": {:.3} }}",
-                m.kernel,
-                m.d,
-                m.rows as f64 / m.scalar_secs / 1e6,
-                m.rows as f64 / m.chunked_secs / 1e6,
-                m.speedup()
-            )
-        })
-        .collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ] },\n  \"e2e\": [\n");
-    let lines: Vec<String> = e2e
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{ \"phase\": \"{}\", \"d\": {}, \"n\": {}, \"scalar_seconds\": {:.6}, \"chunked_seconds\": {:.6}, \"speedup\": {:.3} }}",
-                c.phase, c.d, c.n, c.scalar_secs, c.chunked_secs, c.speedup()
-            )
-        })
-        .collect();
-    json.push_str(&lines.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-
-    let path =
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("[could not save {}: {e}]", path.display()),
+        println!("[acceptance: dominance d=8 {dom8:.2}x >= 2x]");
     }
 }

@@ -15,7 +15,7 @@
 //! | `ablation` | k-sweep + page-size sweep (design-knob data)      |
 //! | `bichromatic` | naive vs parallel vs indexed bichromatic RSL   |
 //! | `dimensionality` | behaviour across d ∈ {2, 3, 4} (extension)  |
-//! | `kernelbench` | scalar vs chunked kernel dispatch, d ∈ 2…10 micro sweep + e2e → `BENCH_kernels.json` (extension) |
+//! | `kernelbench` | each shipped dominance/min-distance kernel vs its scalar reference, d ∈ 2…10 (extension) |
 //!
 //! Every binary prints the paper-style rows and writes CSV under
 //! `target/experiments/`. Scale with `WNRS_SCALE` (fraction of the

@@ -70,13 +70,6 @@ approximate-DSL store build (results are identical at any count), and
 (memoised skylines / anti-DDRs / safe regions; answers are identical;
 `profile` prints the hit/miss statistics).
 
-every command (including serve) accepts --kernels scalar|chunked|auto
-to pin the dominance/transform kernel dispatch for the process: scalar
-is the early-exit reference path, chunked the lane-unrolled batch path
-(bit-identical answers), auto re-reads the WNRS_KERNELS environment
-default (chunked unless WNRS_KERNELS=scalar). `profile` prints the
-dispatch in effect.
-
 out-of-core mode: rsl, explain, mwp, mqp, safe-region and mwq accept
 --paged on with --index <file.idx> to run end-to-end through the
 page-resident engine (bounded buffer pool, no in-memory point arena;
@@ -112,10 +105,6 @@ fn run(args: &[String]) -> Result<(), WnrsError> {
     let opts = parse_opts(rest)?;
     if opts.contains_key("trace") {
         wnrs_obs::set_trace(true);
-    }
-    if let Some(k) = opts.get("kernels") {
-        wnrs_geometry::kernels::set_dispatch_from_str(k)
-            .map_err(|e| WnrsError::usage(format!("bad --kernels: {e}")))?;
     }
     // `serve` handles --paged itself (the server hosts either engine
     // mode); everything else routes through the paged pipeline here.
@@ -194,13 +183,42 @@ fn require<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, 
         .ok_or_else(|| WnrsError::usage(format!("missing --{key}")))
 }
 
-fn parse_point(s: &str) -> Result<Point, WnrsError> {
+/// Parses `s`, the value of `--{key}`, as comma-separated finite
+/// coordinates.
+fn parse_point(key: &str, s: &str) -> Result<Point, WnrsError> {
     let coords: Result<Vec<f64>, _> = s.split(',').map(|f| f.trim().parse::<f64>()).collect();
-    let coords = coords.map_err(|e| format!("bad --query: {e}"))?;
+    let coords = coords.map_err(|e| format!("bad --{key}: {e}"))?;
     if coords.is_empty() {
-        return Err(WnrsError::usage("empty --query"));
+        return Err(WnrsError::usage(format!("empty --{key}")));
+    }
+    if let Some(c) = coords.iter().find(|c| !c.is_finite()) {
+        return Err(WnrsError::usage(format!(
+            "bad --{key}: coordinate {c} is not finite"
+        )));
     }
     Ok(Point::new(coords))
+}
+
+/// As [`parse_point`], for a point that must have the dataset's `dim`
+/// dimensions.
+fn parse_point_dim(key: &str, s: &str, dim: usize) -> Result<Point, WnrsError> {
+    let p = parse_point(key, s)?;
+    if p.dim() != dim {
+        return Err(WnrsError::usage(format!(
+            "--{key} has {} dimension(s), the dataset has {dim}",
+            p.dim()
+        )));
+    }
+    Ok(p)
+}
+
+/// Parses the `--approx-k` sample size, which must be at least 1.
+fn parse_approx_k(s: &str) -> Result<usize, WnrsError> {
+    match s.parse() {
+        Ok(0) => Err(WnrsError::usage("--approx-k must be at least 1")),
+        Ok(k) => Ok(k),
+        Err(e) => Err(WnrsError::usage(format!("bad --approx-k: {e}"))),
+    }
 }
 
 fn load_engine(opts: &HashMap<String, String>) -> Result<WhyNotEngine, WnrsError> {
@@ -308,10 +326,15 @@ fn load_paged_engine(
 /// The why-not customer in paged mode: explicit coordinates (the engine
 /// holds no point arena to index into), plus an optional `--whynot` id
 /// for the monochromatic own-tuple exclusion.
-fn paged_whynot(opts: &HashMap<String, String>) -> Result<(Point, Option<ItemId>), WnrsError> {
-    let c = parse_point(
+fn paged_whynot(
+    opts: &HashMap<String, String>,
+    dim: usize,
+) -> Result<(Point, Option<ItemId>), WnrsError> {
+    let c = parse_point_dim(
+        "whynot-point",
         opts.get("whynot-point")
             .ok_or_else(|| WnrsError::usage("--paged on requires --whynot-point <x,y,...>"))?,
+        dim,
     )?;
     let exclude = opts
         .get("whynot")
@@ -325,7 +348,8 @@ fn paged_whynot(opts: &HashMap<String, String>) -> Result<(Point, Option<ItemId>
 /// Query commands routed end-to-end through the page-resident engine.
 fn run_paged(cmd: &str, opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let engine = load_paged_engine(opts)?;
-    let q = parse_point(require(opts, "query")?)?;
+    let dim = engine.tree().dim();
+    let q = parse_point_dim("query", require(opts, "query")?, dim)?;
     let fail = |e: wnrs_rtree::persist::PersistError| format!("page read failed: {e}");
     match cmd {
         "rsl" => {
@@ -336,7 +360,7 @@ fn run_paged(cmd: &str, opts: &HashMap<String, String>) -> Result<(), WnrsError>
             }
         }
         "explain" => {
-            let (c, exclude) = paged_whynot(opts)?;
+            let (c, exclude) = paged_whynot(opts, dim)?;
             let ex = engine.explain(&c, exclude, &q).map_err(fail)?;
             if ex.is_member() {
                 println!("customer at {c} is already in RSL({q})");
@@ -351,7 +375,7 @@ fn run_paged(cmd: &str, opts: &HashMap<String, String>) -> Result<(), WnrsError>
             }
         }
         "mwp" => {
-            let (c, exclude) = paged_whynot(opts)?;
+            let (c, exclude) = paged_whynot(opts, dim)?;
             let ans = engine.mwp(&c, exclude, &q).map_err(fail)?;
             println!("MWP: move the customer from {c} to one of:");
             for cand in &ans.candidates {
@@ -364,7 +388,7 @@ fn run_paged(cmd: &str, opts: &HashMap<String, String>) -> Result<(), WnrsError>
             }
         }
         "mqp" => {
-            let (c, exclude) = paged_whynot(opts)?;
+            let (c, exclude) = paged_whynot(opts, dim)?;
             let ans = engine.mqp(&c, exclude, &q).map_err(fail)?;
             println!("MQP: move the query point {q} to one of:");
             for cand in &ans.candidates {
@@ -395,7 +419,7 @@ fn run_paged(cmd: &str, opts: &HashMap<String, String>) -> Result<(), WnrsError>
                     "--approx-k is not supported with --paged on (the paged pipeline uses the exact safe region)",
                 ));
             }
-            let (c, exclude) = paged_whynot(opts)?;
+            let (c, exclude) = paged_whynot(opts, dim)?;
             let rsl = engine.reverse_skyline(&q).map_err(fail)?;
             let sr = engine.safe_region_for(&q, &rsl).map_err(fail)?;
             let ans = engine.mwq(&c, exclude, &q, &sr).map_err(fail)?;
@@ -458,10 +482,7 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let max_conns = parse_usize_opt(opts, "max-conns", 1024)?;
     let deadline_ms = parse_usize_opt(opts, "deadline-ms", 10_000)?;
     let lazy_k = if lazy_mode(opts)? {
-        let k: usize = require(opts, "approx-k")?
-            .parse()
-            .map_err(|e| format!("bad --approx-k: {e}"))?;
-        Some(k)
+        Some(parse_approx_k(require(opts, "approx-k")?)?)
     } else {
         if opts.contains_key("approx-k") {
             return Err(WnrsError::usage(
@@ -512,7 +533,7 @@ fn client_cmd(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 
     let addr = require(opts, "addr")?;
     let op = require(opts, "op")?;
-    let query = || parse_point(require(opts, "query")?);
+    let query = || parse_point("query", require(opts, "query")?);
     let whynot_id = || -> Result<ItemId, WnrsError> {
         Ok(ItemId(
             require(opts, "whynot")?
@@ -522,8 +543,11 @@ fn client_cmd(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     };
     let customer = || -> Result<Customer, WnrsError> {
         match (opts.get("whynot-point"), opts.contains_key("whynot")) {
-            (Some(p), true) => Ok(Customer::PointExcluding(parse_point(p)?, whynot_id()?)),
-            (Some(p), false) => Ok(Customer::External(parse_point(p)?)),
+            (Some(p), true) => Ok(Customer::PointExcluding(
+                parse_point("whynot-point", p)?,
+                whynot_id()?,
+            )),
+            (Some(p), false) => Ok(Customer::External(parse_point("whynot-point", p)?)),
             (None, true) => Ok(Customer::Id(whynot_id()?)),
             (None, false) => Err(WnrsError::usage(format!(
                 "--op {op} needs --whynot <id> (in-memory) or --whynot-point <x,y,...> (paged)"
@@ -552,7 +576,7 @@ fn client_cmd(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
             q: query()?,
         },
         "insert" => Request::Insert {
-            point: parse_point(require(opts, "point")?)?,
+            point: parse_point("point", require(opts, "point")?)?,
         },
         "delete" => Request::Delete { id: whynot_id()? },
         other => {
@@ -721,7 +745,7 @@ fn generate(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 
 fn rsl(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let engine = load_engine(opts)?;
-    let q = parse_point(require(opts, "query")?)?;
+    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
     let rsl = engine.reverse_skyline(&q);
     println!("RSL({q}) has {} members:", rsl.len());
     for (id, p) in &rsl {
@@ -732,7 +756,7 @@ fn rsl(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 
 fn explain(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let engine = load_engine(opts)?;
-    let q = parse_point(require(opts, "query")?)?;
+    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
     let id = whynot_id(opts, &engine)?;
     let ex = engine.explain(id, &q);
     if ex.is_member() {
@@ -753,7 +777,7 @@ fn explain(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 
 fn mwp(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let engine = load_engine(opts)?;
-    let q = parse_point(require(opts, "query")?)?;
+    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
     let id = whynot_id(opts, &engine)?;
     let ans = engine.mwp(id, &q);
     println!(
@@ -774,7 +798,7 @@ fn mwp(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 
 fn mqp(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let engine = load_engine(opts)?;
-    let q = parse_point(require(opts, "query")?)?;
+    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
     let id = whynot_id(opts, &engine)?;
     let ans = engine.mqp(id, &q);
     println!("MQP: move the query point {q} to one of:");
@@ -792,12 +816,12 @@ fn mqp(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 
 fn mwq(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let engine = load_engine(opts)?;
-    let q = parse_point(require(opts, "query")?)?;
+    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
     let id = whynot_id(opts, &engine)?;
     let rsl = engine.reverse_skyline(&q);
     let sr = match opts.get("approx-k") {
         Some(k) => {
-            let k: usize = k.parse().map_err(|e| format!("bad --approx-k: {e}"))?;
+            let k = parse_approx_k(k)?;
             if lazy_mode(opts)? {
                 engine.approx_safe_region_lazy(&q, &rsl, k)
             } else {
@@ -839,7 +863,7 @@ fn mwq(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 
 fn safe_region(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let engine = load_engine(opts)?;
-    let q = parse_point(require(opts, "query")?)?;
+    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
     let rsl = engine.reverse_skyline(&q);
     let sr = engine.safe_region_for(&q, &rsl);
     println!(
@@ -863,13 +887,12 @@ fn safe_region(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 /// index build.
 fn profile(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let engine = load_engine(opts)?;
-    let q = parse_point(require(opts, "query")?)?;
+    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
     let id = whynot_id(opts, &engine)?;
-    let k: usize = opts
+    let k = opts
         .get("approx-k")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| format!("bad --approx-k: {e}"))?
+        .map(|s| parse_approx_k(s))
+        .transpose()?
         .unwrap_or(10);
 
     wnrs_obs::reset();
@@ -884,10 +907,6 @@ fn profile(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     let mwq = engine.mwq(id, &q, &sr);
 
     println!("profile: customer #{} against q = {q}", id.0);
-    println!(
-        "  kernels:     {} dispatch",
-        wnrs_geometry::kernels::current().name()
-    );
     println!("  explain:     {} culprit(s)", ex.culprits.len());
     println!("  mwp:         best cost {:.9}", mwp.best_cost());
     println!("  mqp:         best cost {:.9}", mqp.best_cost());

@@ -13,7 +13,7 @@ use crate::mwp::{modify_why_not_point, modify_why_not_point_with_lambda, MwpAnsw
 use crate::mwq::{modify_both, modify_both_parts, MwqAnswer};
 use crate::safe_region::{
     anti_ddr_from_dsl, approx_anti_ddr_of_sample, approx_safe_region_with, entry_fingerprint,
-    exact_safe_region_with, ApproxDslStore,
+    exact_safe_region_by, exact_safe_region_with, ApproxDslStore,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -689,21 +689,12 @@ impl WhyNotEngine {
             }
             let _span = wnrs_obs::span!("sr_exact");
             let universe = self.universe_for(q);
-            // Mirrors `exact_safe_region_with` exactly (same member
-            // regions, same balanced-tree intersection pairing), so the
-            // cached path agrees with the uncached one bit for bit.
-            let regions = map_slice(rsl, &self.parallelism, |(id, _)| {
-                (*self.anti_ddr_cached(cache, *id, &universe, 0.0)).clone()
-            });
-            #[cfg(feature = "invariant-checks")]
-            let contributors = regions.clone();
-            let sr = intersect_all(regions, &self.parallelism)
-                .unwrap_or_else(|| Region::from_rect(universe.clone()));
-            #[cfg(feature = "invariant-checks")]
-            debug_assert!(
-                crate::safe_region::sr_contained_in_contributors(&sr, &contributors),
-                "exact safe region escapes a contributing anti-DDR"
-            );
+            let sr = into_ok(exact_safe_region_by(
+                rsl,
+                &universe,
+                &self.parallelism,
+                |(id, _)| Ok((*self.anti_ddr_cached(cache, *id, &universe, 0.0)).clone()),
+            ));
             return cache
                 .put_sr_exact(expected_gen, q_key, rsl_ids, sr)
                 .region

@@ -14,8 +14,7 @@
 
 use crate::answer::{finish_candidates, Candidate};
 use crate::verify::{limit_verified_query_by, FirstError};
-use wnrs_geometry::kernels::dominates_raw;
-use wnrs_geometry::stats::record_dominance_tests;
+use wnrs_geometry::kernels::dominates_chunked;
 use wnrs_geometry::{abs_diff_into, cmp_f64, CostModel, Point};
 use wnrs_reverse_skyline::{is_reverse_skyline_member_with, window_query_with};
 use wnrs_rtree::{ItemId, NodeSource, WindowScratch};
@@ -61,7 +60,7 @@ fn evict_dominated(rows: &mut Vec<f64>, t: &[f64]) -> u64 {
     let mut kept = 0;
     for r in 0..n {
         let row = r * d..(r + 1) * d;
-        if !dominates_raw(t, &rows[row.clone()]) {
+        if !dominates_chunked(t, &rows[row.clone()]) {
             rows.copy_within(row, kept * d);
             kept += 1;
         }
@@ -157,14 +156,14 @@ pub fn modify_query_point_core(
         abs_diff_into(e.coords(), c_t.coords(), &mut t);
         let dominated = f_t.chunks_exact(d).any(|f| {
             tests += 1;
-            dominates_raw(f, &t)
+            dominates_chunked(f, &t)
         });
         if !dominated {
             tests += evict_dominated(&mut f_t, &t);
             f_t.extend_from_slice(&t);
         }
     }
-    record_dominance_tests(tests);
+    wnrs_obs::record_n(wnrs_obs::Counter::DominanceTests, tests);
     let t_q = q.abs_diff(c_t);
 
     let mut raw_t: Vec<Point> = Vec::new();

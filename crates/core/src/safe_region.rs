@@ -141,12 +141,32 @@ where
     S::Error: Send,
 {
     let _span = wnrs_obs::span!("sr_exact");
-    let regions = map_slice(rsl, par, |(id, c)| {
+    exact_safe_region_by(rsl, universe, par, |(id, c)| {
         let exclude = if exclude_self { Some(*id) } else { None };
         anti_ddr_of(products, c, exclude, universe, 0.0)
     })
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()?;
+}
+
+/// The intersection of `region_of(member)` over the reverse-skyline
+/// members, or the whole universe when there are none: the member
+/// regions fan out across `par`'s workers and meet in the balanced tree
+/// reduction of [`intersect_all`]. [`exact_safe_region_with`] passes
+/// [`anti_ddr_of`] and the cached engine its memoised anti-DDRs, so
+/// both build the same regions in the same pairing and agree bit for
+/// bit.
+///
+/// # Errors
+///
+/// Returns the first error `region_of` returns.
+pub(crate) fn exact_safe_region_by<E: Send>(
+    rsl: &[(ItemId, Point)],
+    universe: &Rect,
+    par: &Parallelism,
+    region_of: impl Fn(&(ItemId, Point)) -> Result<Region, E> + Sync,
+) -> Result<Region, E> {
+    let regions = map_slice(rsl, par, region_of)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
     #[cfg(feature = "invariant-checks")]
     let contributors = regions.clone();
     let sr = intersect_all(regions, par).unwrap_or_else(|| Region::from_rect(universe.clone()));

@@ -166,8 +166,8 @@ fn core_allocations_do_not_grow_with_the_culprit_set() {
         modify_query_point_core(&c_t, &q, lambda, &cost, eps, &mut |c, at| member(c, at)).candidates
     };
 
-    // Warm-up: process-wide lazy state (the kernel dispatch reads the
-    // environment once) must not land in a measured call.
+    // Warm-up: one-time lazy state (under `obs`, the registry and each
+    // span site's first registration) must not land in a measured call.
     let _ = (mwp(&mwp_lambda), mqp(&lambda));
 
     let (base, base_allocs) = counted(|| answer_bits(&mwp(&mwp_lambda)));

@@ -28,7 +28,8 @@ pub fn to_csv(points: &[Point]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a descriptive error for malformed numbers or ragged rows.
+/// Returns a descriptive error, naming the line, for malformed or
+/// non-finite numbers and ragged rows.
 pub fn from_csv(text: &str) -> Result<Vec<Point>, String> {
     let mut points = Vec::new();
     let mut dim = None;
@@ -40,6 +41,9 @@ pub fn from_csv(text: &str) -> Result<Vec<Point>, String> {
         let coords: Result<Vec<f64>, _> =
             line.split(',').map(|f| f.trim().parse::<f64>()).collect();
         let coords = coords.map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        if let Some(c) = coords.iter().find(|c| !c.is_finite()) {
+            return Err(format!("line {}: coordinate {c} is not finite", lineno + 1));
+        }
         match dim {
             None => dim = Some(coords.len()),
             Some(d) if d != coords.len() => {
@@ -98,6 +102,15 @@ mod tests {
     fn bad_number_rejected() {
         let err = from_csv("1,abc\n").unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_number_rejected() {
+        for text in ["nan,1\n", "1,2\n3,inf\n", "1e400,2\n"] {
+            let err = from_csv(text).unwrap_err();
+            assert!(err.contains("not finite"), "{err}");
+        }
+        assert!(from_csv("1,2\n3,inf\n").unwrap_err().contains("line 2"));
     }
 
     #[test]

@@ -44,15 +44,15 @@ pub fn dominates(a: &Point, b: &Point) -> bool {
 
 /// Static dominance on raw coordinate slices: the flat analogue of
 /// [`dominates`] for hot paths that keep points in shared `f64` buffers
-/// instead of boxed [`Point`]s. Evaluated by whichever kernel the
-/// process-wide [`crate::kernels::KernelDispatch`] selects; both agree
-/// with [`dominates`] bit-for-bit on every input (ties, negative
+/// instead of boxed [`Point`]s. Evaluated by
+/// [`crate::kernels::dominates_chunked`], which agrees with the scalar
+/// early-exit loop bit-for-bit on every input (ties, negative
 /// coordinates, `-0.0` included).
 #[inline]
 pub fn dominates_components(a: &[f64], b: &[f64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
-    crate::stats::record_dominance_test();
-    crate::kernels::dominates_raw(a, b)
+    wnrs_obs::record(wnrs_obs::Counter::DominanceTests);
+    crate::kernels::dominates_chunked(a, b)
 }
 
 /// Compares `a` and `b` under static dominance in a single pass.
@@ -91,8 +91,8 @@ pub fn compare(a: &Point, b: &Point) -> Dominance {
 pub fn dominates_dyn(a: &Point, b: &Point, q: &Point) -> bool {
     debug_assert_eq!(a.dim(), b.dim());
     debug_assert_eq!(a.dim(), q.dim());
-    crate::stats::record_dominance_test();
-    crate::kernels::dominates_dyn_raw(a.coords(), b.coords(), q.coords())
+    wnrs_obs::record(wnrs_obs::Counter::DominanceTests);
+    crate::kernels::dominates_dyn_chunked(a.coords(), b.coords(), q.coords())
 }
 
 /// Compares `a` and `b` under dynamic dominance w.r.t. `q` in one pass.
@@ -129,8 +129,8 @@ pub fn compare_dyn(a: &Point, b: &Point, q: &Point) -> Dominance {
 pub fn dominates_global(a: &Point, b: &Point, q: &Point) -> bool {
     debug_assert_eq!(a.dim(), b.dim());
     debug_assert_eq!(a.dim(), q.dim());
-    crate::stats::record_dominance_test();
-    crate::kernels::dominates_global_raw(a.coords(), b.coords(), q.coords())
+    wnrs_obs::record(wnrs_obs::Counter::DominanceTests);
+    crate::kernels::dominates_global_chunked(a.coords(), b.coords(), q.coords())
 }
 
 /// Removes every point of `points` that is dominated (per `dominated_by`)

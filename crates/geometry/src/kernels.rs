@@ -1,42 +1,35 @@
-//! Lane-chunked dominance/transform/min-dist kernels with runtime
-//! dispatch.
+//! Lane-chunked dominance and min-distance kernels, with batched
+//! one-vs-many entry points.
 //!
-//! Every query in the workspace bottoms out in three scalar inner
-//! loops: the dominance test ([`crate::dominates_components`] and its
+//! Every query in the workspace bottoms out in three inner loops: the
+//! dominance test ([`crate::dominates_components`] and its
 //! dynamic/global flavours), the absolute-distance transform
 //! ([`crate::abs_diff_into`]), and the per-dimension min-distance
-//! ([`crate::Rect::min_l1_coords`]). This module provides 4-lane
-//! *chunked* variants of each — branch-free accumulation over
-//! `chunks_exact(4)` with a scalar tail — written in safe Rust (the
-//! crate carries `#![forbid(unsafe_code)]`, so no `core::arch`
-//! intrinsics) in a shape LLVM autovectorizes, plus *batched
-//! one-vs-many* entry points that answer dominance for a whole
-//! contiguous block per call and record query statistics once per block
-//! instead of once per pair.
+//! ([`crate::Rect::min_l1_coords`]). This module holds one shipped
+//! kernel per dominance and min-distance primitive — 4-lane *chunked*,
+//! branch-free accumulation over `chunks_exact(4)` with a scalar tail,
+//! written in safe Rust (the crate carries `#![forbid(unsafe_code)]`, so
+//! no `core::arch` intrinsics) in a shape LLVM autovectorizes — plus
+//! *batched one-vs-many* entry points that answer dominance for a whole
+//! contiguous block per call and record their counters once per block
+//! instead of once per pair. The transform has a single stream loop,
+//! [`crate::abs_diff_into`], whose docs say why it needs no lane variant.
 //!
-//! ## Dispatch
-//!
-//! A process-wide [`KernelDispatch`] policy selects the implementation
-//! at runtime: `Scalar` runs the historical early-exit loops, `Chunked`
-//! the lane-chunked ones. The default is `Chunked`; the `WNRS_KERNELS`
-//! environment variable (`scalar` | `chunked` | `auto`) or
-//! [`set_dispatch`] / [`set_dispatch_from_str`] (the CLI's `--kernels`
-//! flag) override it for A/B comparisons. The selector is a single
-//! `Relaxed` atomic load on the hot path; ordering carries no
-//! cross-thread data dependency (the value only picks between two
-//! bit-identical implementations), per the policy table in DESIGN.md §4.
+//! The chunked pair kernels delegate to the early-exit loop below
+//! d = 4, where no complete lane exists, and [`any_dominates_block`]
+//! scans its first 8 rows with it. The `*_scalar` loops are otherwise
+//! kept only as the reference that the equivalence proptests and
+//! `kernelbench` compare the shipped kernels against.
 //!
 //! ## Bit-identity contract
 //!
-//! The chunked kernels are **bit-identical** to the scalar ones on
-//! every input the workspace produces (finite coordinates, ties, `-0.0`
-//! included), which is what makes runtime dispatch safe:
+//! The chunked kernels are **bit-identical** to the scalar references
+//! on every input the workspace produces (finite coordinates, ties,
+//! `-0.0` included):
 //!
 //! * dominance is a pure pair predicate `¬∃i: aᵢ>bᵢ ∧ ∃i: aᵢ<bᵢ` — the
 //!   scalar early exit is an evaluation-order detail, so a branch-free
 //!   evaluation of all dimensions returns the same boolean;
-//! * the transform is elementwise (`|aᵢ−bᵢ|`), so chunking cannot
-//!   change any lane;
 //! * the per-dimension min-distance replaces the scalar branches with
 //!   `max(lo−q, max(q−hi, 0.0)) + 0.0` — exact for non-zero distances,
 //!   and the trailing `+ 0.0` canonicalises a possible `-0.0` (only
@@ -44,111 +37,25 @@
 //!   branches produce. Tail handling: the last `len mod 4` dimensions
 //!   always run the same lane formula via `ChunksExact::remainder`, and
 //!   L1 summation stays strictly sequential left-to-right (only the
-//!   per-lane distance computation is vectorized, never the adds).
+//!   per-lane distance computation is vectorized, never the adds);
+//! * the batched entry points examine rows in order and stop at the
+//!   first dominator, so their answers and their dominance-test tallies
+//!   equal the scalar early-exit fold's.
 //!
 //! The contract is enforced by proptests in
 //! `crates/geometry/tests/kernel_equivalence.rs` (dims 1–16, adversarial
-//! signed zeros and ties) and end-to-end by
-//! `crates/core/tests/kernel_pipeline.rs`.
+//! signed zeros and ties) and, for the tallies, by
+//! `crates/geometry/tests/kernel_tally.rs`.
 
 use crate::point::Point;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Which kernel implementation the process runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelDispatch {
-    /// The historical early-exit scalar loops.
-    Scalar,
-    /// 4-lane chunked, branch-free kernels (the default).
-    Chunked,
-}
-
-impl KernelDispatch {
-    /// The stable flag/export name (`scalar` / `chunked`).
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            KernelDispatch::Scalar => "scalar",
-            KernelDispatch::Chunked => "chunked",
-        }
-    }
-}
-
-/// 0 = unresolved (first use reads `WNRS_KERNELS`), 1 = scalar,
-/// 2 = chunked. Relaxed throughout: the value only selects between two
-/// bit-identical implementations, so no ordering is required.
-static DISPATCH: AtomicU8 = AtomicU8::new(0);
-
-const TAG_SCALAR: u8 = 1;
-const TAG_CHUNKED: u8 = 2;
-
-/// The currently selected dispatch policy. First call resolves the
-/// `WNRS_KERNELS` environment default (`scalar`/`chunked`; anything
-/// else, including unset and `auto`, selects `Chunked`).
-#[inline]
-#[must_use]
-pub fn current() -> KernelDispatch {
-    match DISPATCH.load(Ordering::Relaxed) {
-        TAG_SCALAR => KernelDispatch::Scalar,
-        TAG_CHUNKED => KernelDispatch::Chunked,
-        _ => init_from_env(),
-    }
-}
-
-/// Resolves the environment default exactly once per process (a lost
-/// race re-reads the same environment, so the outcome is identical).
-#[cold]
-fn init_from_env() -> KernelDispatch {
-    let tag = match std::env::var("WNRS_KERNELS").as_deref() {
-        Ok("scalar") => TAG_SCALAR,
-        _ => TAG_CHUNKED,
-    };
-    // Keep a concurrent explicit set_dispatch() if one won the race.
-    let _ = DISPATCH.compare_exchange(0, tag, Ordering::Relaxed, Ordering::Relaxed);
-    match DISPATCH.load(Ordering::Relaxed) {
-        TAG_SCALAR => KernelDispatch::Scalar,
-        _ => KernelDispatch::Chunked,
-    }
-}
-
-/// Selects the dispatch policy for the whole process (A/B switch).
-pub fn set_dispatch(d: KernelDispatch) {
-    let tag = match d {
-        KernelDispatch::Scalar => TAG_SCALAR,
-        KernelDispatch::Chunked => TAG_CHUNKED,
-    };
-    DISPATCH.store(tag, Ordering::Relaxed);
-}
-
-/// Parses and applies a `--kernels` flag value: `scalar`, `chunked`, or
-/// `auto` (re-resolve the `WNRS_KERNELS` environment default). Returns
-/// the dispatch now in effect.
-pub fn set_dispatch_from_str(s: &str) -> Result<KernelDispatch, String> {
-    match s {
-        "scalar" => {
-            set_dispatch(KernelDispatch::Scalar);
-            Ok(KernelDispatch::Scalar)
-        }
-        "chunked" => {
-            set_dispatch(KernelDispatch::Chunked);
-            Ok(KernelDispatch::Chunked)
-        }
-        "auto" => {
-            DISPATCH.store(0, Ordering::Relaxed);
-            Ok(current())
-        }
-        other => Err(format!(
-            "unknown kernel dispatch {other:?} (expected scalar, chunked or auto)"
-        )),
-    }
-}
+use wnrs_obs::Counter;
 
 // ---------------------------------------------------------------------
-// Pair kernels (no stats recording — callers tally per pair or batch)
+// Pair kernels (no counter recording — callers tally per pair or batch)
 // ---------------------------------------------------------------------
 
-/// Scalar static dominance `a ≻ b` on raw slices: the historical
-/// early-exit loop, without stats recording.
+/// Scalar static dominance `a ≻ b` on raw slices: the early-exit loop
+/// [`dominates_chunked`] runs below d = 4, and its test reference.
 #[inline]
 #[must_use]
 pub fn dominates_scalar(a: &[f64], b: &[f64]) -> bool {
@@ -198,8 +105,9 @@ pub fn dominates_chunked(a: &[f64], b: &[f64]) -> bool {
     !any_gt && any_lt
 }
 
-/// Scalar dynamic dominance `a ≻_q b` on raw slices (early exit, no
-/// stats).
+/// Scalar dynamic dominance `a ≻_q b` on raw slices: the early-exit
+/// loop [`dominates_dyn_chunked`] runs below d = 4, and its test
+/// reference.
 #[inline]
 #[must_use]
 pub fn dominates_dyn_scalar(a: &[f64], b: &[f64], q: &[f64]) -> bool {
@@ -262,7 +170,9 @@ pub fn dominates_dyn_chunked(a: &[f64], b: &[f64], q: &[f64]) -> bool {
     !any_gt && any_lt
 }
 
-/// Scalar global dominance on raw slices (early exit, no stats).
+/// Scalar global dominance on raw slices: the early-exit loop
+/// [`dominates_global_chunked`] runs below d = 4, and its test
+/// reference.
 #[inline]
 #[must_use]
 pub fn dominates_global_scalar(a: &[f64], b: &[f64], q: &[f64]) -> bool {
@@ -336,85 +246,9 @@ pub fn dominates_global_chunked(a: &[f64], b: &[f64], q: &[f64]) -> bool {
     !any_opp && !any_gt && any_lt
 }
 
-/// Dispatching static dominance on raw slices, without stats — for
-/// callers that batch their own tallies per block/leaf.
-#[inline]
-#[must_use]
-pub fn dominates_raw(a: &[f64], b: &[f64]) -> bool {
-    match current() {
-        KernelDispatch::Scalar => dominates_scalar(a, b),
-        KernelDispatch::Chunked => dominates_chunked(a, b),
-    }
-}
-
-/// Dispatching dynamic dominance on raw slices, without stats.
-#[inline]
-#[must_use]
-pub fn dominates_dyn_raw(a: &[f64], b: &[f64], q: &[f64]) -> bool {
-    match current() {
-        KernelDispatch::Scalar => dominates_dyn_scalar(a, b, q),
-        KernelDispatch::Chunked => dominates_dyn_chunked(a, b, q),
-    }
-}
-
-/// Dispatching global dominance on raw slices, without stats.
-#[inline]
-#[must_use]
-pub fn dominates_global_raw(a: &[f64], b: &[f64], q: &[f64]) -> bool {
-    match current() {
-        KernelDispatch::Scalar => dominates_global_scalar(a, b, q),
-        KernelDispatch::Chunked => dominates_global_chunked(a, b, q),
-    }
-}
-
 // ---------------------------------------------------------------------
-// Transform / min-dist kernels
+// Min-distance kernels
 // ---------------------------------------------------------------------
-
-/// Scalar absolute-distance transform into a reused buffer (no stats).
-#[inline]
-pub fn abs_diff_into_scalar(p: &[f64], origin: &[f64], out: &mut Vec<f64>) {
-    debug_assert_eq!(p.len(), origin.len());
-    out.clear();
-    out.extend(p.iter().zip(origin.iter()).map(|(a, b)| (a - b).abs()));
-}
-
-/// Chunked absolute-distance transform: each 4-lane chunk is computed
-/// into a stack array and appended whole, so no prefill pass touches
-/// the buffer. Elementwise, hence trivially bit-identical to
-/// [`abs_diff_into_scalar`].
-#[inline]
-pub fn abs_diff_into_chunked(p: &[f64], origin: &[f64], out: &mut Vec<f64>) {
-    debug_assert_eq!(p.len(), origin.len());
-    out.clear();
-    out.reserve(p.len());
-    let mut pc = p.chunks_exact(4);
-    let mut qc = origin.chunks_exact(4);
-    for (xs, cs) in pc.by_ref().zip(qc.by_ref()) {
-        let mut lane = [0.0f64; 4];
-        for (o, (&x, &c)) in lane.iter_mut().zip(xs.iter().zip(cs)) {
-            *o = (x - c).abs();
-        }
-        out.extend_from_slice(&lane);
-    }
-    for (&x, &c) in pc.remainder().iter().zip(qc.remainder()) {
-        out.push((x - c).abs());
-    }
-}
-
-/// Dispatching absolute-distance transform, without stats.
-///
-/// Both dispatches route to the scalar stream loop: `(a - b).abs()`
-/// over zipped slices is branch-free already, so LLVM emits packed
-/// code for it, and the explicit lane variant only adds per-chunk
-/// append overhead (0.7–1.0x in `kernelbench`'s transform row, which
-/// measures [`abs_diff_into_chunked`] directly to keep that ablation
-/// on record). The chunked variant remains the reference lane
-/// formulation for the equivalence suite.
-#[inline]
-pub fn abs_diff_into_raw(p: &[f64], origin: &[f64], out: &mut Vec<f64>) {
-    abs_diff_into_scalar(p, origin, out);
-}
 
 /// Branch-free per-dimension distance from `q` to `[lo, hi]`. Exact for
 /// non-zero distances; the trailing `+ 0.0` canonicalises the `-0.0`
@@ -425,8 +259,8 @@ fn lane_dist(lo: f64, hi: f64, q: f64) -> f64 {
     f64::max(lo - q, f64::max(q - hi, 0.0)) + 0.0
 }
 
-/// Scalar per-dimension branch form of the min-distance (no stats):
-/// mirrors `Rect::min_l1_coords` exactly.
+/// Scalar per-dimension branch form of the min-distance: the reference
+/// [`min_l1_chunked`] is tested and benchmarked against.
 #[inline]
 #[must_use]
 pub fn min_l1_scalar(lo: &[f64], hi: &[f64], q: &[f64]) -> f64 {
@@ -478,18 +312,8 @@ pub fn min_l1_chunked(lo: &[f64], hi: &[f64], q: &[f64]) -> f64 {
     sum
 }
 
-/// Dispatching minimum L1 distance from `q` to the box `[lo, hi]`.
-#[inline]
-#[must_use]
-pub fn min_l1_raw(lo: &[f64], hi: &[f64], q: &[f64]) -> f64 {
-    match current() {
-        KernelDispatch::Scalar => min_l1_scalar(lo, hi, q),
-        KernelDispatch::Chunked => min_l1_chunked(lo, hi, q),
-    }
-}
-
-/// Scalar per-dimension min-distance vector (the transformed lower
-/// corner BBS prunes with) into a reused buffer.
+/// Scalar per-dimension min-distance vector into a reused buffer: the
+/// reference [`min_dists_into_chunked`] is tested against.
 #[inline]
 pub fn min_dists_into_scalar(lo: &[f64], hi: &[f64], q: &[f64], out: &mut Vec<f64>) {
     debug_assert_eq!(lo.len(), hi.len());
@@ -507,7 +331,8 @@ pub fn min_dists_into_scalar(lo: &[f64], hi: &[f64], q: &[f64], out: &mut Vec<f6
     }));
 }
 
-/// Chunked per-dimension min-distance vector: each 4-lane chunk of
+/// Chunked per-dimension min-distance vector (the transformed lower
+/// corner BBS prunes with) into a reused buffer: each 4-lane chunk of
 /// branch-free `lane_dist` values is appended whole (no prefill
 /// pass). Elementwise, bit-identical to [`min_dists_into_scalar`].
 #[inline]
@@ -533,15 +358,6 @@ pub fn min_dists_into_chunked(lo: &[f64], hi: &[f64], q: &[f64], out: &mut Vec<f
         .zip(qc.remainder());
     for ((&l, &h), &c) in tail {
         out.push(lane_dist(l, h, c));
-    }
-}
-
-/// Dispatching per-dimension min-distance vector, without stats.
-#[inline]
-pub fn min_dists_into_raw(lo: &[f64], hi: &[f64], q: &[f64], out: &mut Vec<f64>) {
-    match current() {
-        KernelDispatch::Scalar => min_dists_into_scalar(lo, hi, q, out),
-        KernelDispatch::Chunked => min_dists_into_chunked(lo, hi, q, out),
     }
 }
 
@@ -654,75 +470,69 @@ fn strip_count_generic(strip: &[f64], dim: usize, t: &[f64]) -> usize {
         .count()
 }
 
+/// Records one batched call that examined `rows` rows: `rows`
+/// dominance tests, so the totals reconcile exactly with per-pair
+/// recording, plus the batch counters.
+#[inline]
+fn record_batch(rows: u64) {
+    wnrs_obs::record_n(Counter::DominanceTests, rows);
+    wnrs_obs::record(Counter::KernelBatchedCalls);
+    wnrs_obs::record_n(Counter::KernelPointsProcessed, rows);
+}
+
 /// Whether any row of the flat row-major arena `block` (`dim` coords
 /// per row) statically dominates `t`. Replaces per-pair
-/// `dominates_components` loops in the BBS leaf/arena scans. Under
-/// `Chunked` dispatch the block is strip-mined (`STRIP_ROWS` rows per
-/// branch-free evaluation); rows report in scalar order, so the
-/// dominance-test tally — recorded **once per call** — is the number of
-/// rows the scalar early-exit loop would have examined, and the boolean
-/// answer is identical.
+/// `dominates_components` loops in the BBS leaf/arena scans. After a
+/// scalar prefix of `PREFIX_ROWS` rows the block is strip-mined
+/// (`STRIP_ROWS` rows per branch-free evaluation); rows report in
+/// scalar order, so the dominance-test tally — recorded **once per
+/// call** — is the number of rows the scalar early-exit loop would have
+/// examined, and the boolean answer is identical.
 #[must_use]
 pub fn any_dominates_block(block: &[f64], dim: usize, t: &[f64]) -> bool {
     debug_assert!(dim > 0 && block.len().is_multiple_of(dim));
     debug_assert_eq!(t.len(), dim);
     let mut tested = 0u64;
     let mut found = false;
-    match current() {
-        KernelDispatch::Scalar => {
-            for row in block.chunks_exact(dim) {
-                tested += 1;
-                if dominates_scalar(row, t) {
-                    found = true;
-                    break;
-                }
-            }
-        }
-        KernelDispatch::Chunked => {
-            // Scalar prefix: BBS-style callers order their arenas so
-            // the strongest pruners come first, making positive probes
-            // resolve within the first few rows — where a branch-free
-            // strip would evaluate STRIP_ROWS rows and then re-scan.
-            // The prefix keeps those hits on the early-exit path; the
-            // strips only take over for the long all-miss scans where
-            // they win.
-            let prefix_rows = PREFIX_ROWS.min(block.len() / dim);
-            for row in block[..prefix_rows * dim].chunks_exact(dim) {
-                tested += 1;
-                if dominates_scalar(row, t) {
-                    found = true;
-                    break;
-                }
-            }
-            let strip_len = dim * STRIP_ROWS;
-            let mut start = prefix_rows * dim;
-            while start < block.len() && !found {
-                let end = (start + strip_len).min(block.len());
-                let strip = &block[start..end];
-                if dim_dispatch!(
-                    dim,
-                    strip_any_fixed(strip, t),
-                    strip_any_generic(strip, dim, t)
-                ) {
-                    // The strip contains a dominator: locate the first
-                    // one so the reported tally matches the scalar
-                    // early exit exactly.
-                    for row in strip.chunks_exact(dim) {
-                        tested += 1;
-                        if dominates_chunked(row, t) {
-                            found = true;
-                            break;
-                        }
-                    }
-                } else {
-                    tested += (strip.len() / dim) as u64;
-                }
-                start = end;
-            }
+    // Scalar prefix: BBS-style callers order their arenas so the
+    // strongest pruners come first, making positive probes resolve
+    // within the first few rows — where a branch-free strip would
+    // evaluate STRIP_ROWS rows and then re-scan. The prefix keeps those
+    // hits on the early-exit path; the strips only take over for the
+    // long all-miss scans where they win.
+    let prefix_rows = PREFIX_ROWS.min(block.len() / dim);
+    for row in block[..prefix_rows * dim].chunks_exact(dim) {
+        tested += 1;
+        if dominates_scalar(row, t) {
+            found = true;
+            break;
         }
     }
-    crate::stats::record_dominance_tests(tested);
-    crate::stats::record_kernel_batch(tested);
+    let strip_len = dim * STRIP_ROWS;
+    let mut start = prefix_rows * dim;
+    while start < block.len() && !found {
+        let end = (start + strip_len).min(block.len());
+        let strip = &block[start..end];
+        if dim_dispatch!(
+            dim,
+            strip_any_fixed(strip, t),
+            strip_any_generic(strip, dim, t)
+        ) {
+            // The strip contains a dominator: locate the first one so
+            // the reported tally matches the scalar early exit exactly.
+            for row in strip.chunks_exact(dim) {
+                tested += 1;
+                if dominates_chunked(row, t) {
+                    found = true;
+                    break;
+                }
+            }
+        } else {
+            tested += (strip.len() / dim) as u64;
+        }
+        start = end;
+    }
+    record_batch(tested);
     found
 }
 
@@ -734,141 +544,56 @@ pub fn any_dominates_block(block: &[f64], dim: usize, t: &[f64]) -> bool {
 pub fn count_dominating_block(block: &[f64], dim: usize, t: &[f64]) -> usize {
     debug_assert!(dim > 0 && block.len().is_multiple_of(dim));
     debug_assert_eq!(t.len(), dim);
-    let rows = (block.len() / dim) as u64;
-    let n = match current() {
-        KernelDispatch::Scalar => block
-            .chunks_exact(dim)
-            .filter(|row| dominates_scalar(row, t))
-            .count(),
-        KernelDispatch::Chunked => {
-            dim_dispatch!(
-                dim,
-                strip_count_fixed(block, t),
-                strip_count_generic(block, dim, t)
-            )
-        }
-    };
-    crate::stats::record_dominance_tests(rows);
-    crate::stats::record_kernel_batch(rows);
+    let n = dim_dispatch!(
+        dim,
+        strip_count_fixed(block, t),
+        strip_count_generic(block, dim, t)
+    );
+    record_batch((block.len() / dim) as u64);
     n
 }
 
 /// Whether any point of `points` dynamically dominates `b` w.r.t. `q`.
 /// The batched form of the dynamic-skyline membership scan: same
-/// iteration order and early exit as `points.iter().any(…)`, one stats
-/// record per call.
+/// iteration order and early exit as `points.iter().any(…)`, one
+/// counter record per call.
 #[must_use]
 pub fn any_dominates_dyn_points(points: &[Point], b: &Point, q: &Point) -> bool {
     let mut tested = 0u64;
     let mut found = false;
-    match current() {
-        KernelDispatch::Scalar => {
-            for p in points {
-                tested += 1;
-                if dominates_dyn_scalar(p.coords(), b.coords(), q.coords()) {
-                    found = true;
-                    break;
-                }
-            }
-        }
-        KernelDispatch::Chunked => {
-            for p in points {
-                tested += 1;
-                if dominates_dyn_chunked(p.coords(), b.coords(), q.coords()) {
-                    found = true;
-                    break;
-                }
-            }
+    for p in points {
+        tested += 1;
+        if dominates_dyn_chunked(p.coords(), b.coords(), q.coords()) {
+            found = true;
+            break;
         }
     }
-    crate::stats::record_dominance_tests(tested);
-    crate::stats::record_kernel_batch(tested);
+    record_batch(tested);
     found
 }
 
 /// Whether any point of `points` globally dominates the point with
 /// coordinates `b` w.r.t. `q`. The batched form of the BBRS candidate
-/// scan: same iteration order and early exit, one stats record per call.
+/// scan: same iteration order and early exit, one counter record per
+/// call.
 #[must_use]
 pub fn any_dominates_global_points(points: &[Point], b: &[f64], q: &Point) -> bool {
     let mut tested = 0u64;
     let mut found = false;
-    match current() {
-        KernelDispatch::Scalar => {
-            for p in points {
-                tested += 1;
-                if dominates_global_scalar(p.coords(), b, q.coords()) {
-                    found = true;
-                    break;
-                }
-            }
-        }
-        KernelDispatch::Chunked => {
-            for p in points {
-                tested += 1;
-                if dominates_global_chunked(p.coords(), b, q.coords()) {
-                    found = true;
-                    break;
-                }
-            }
+    for p in points {
+        tested += 1;
+        if dominates_global_chunked(p.coords(), b, q.coords()) {
+            found = true;
+            break;
         }
     }
-    crate::stats::record_dominance_tests(tested);
-    crate::stats::record_kernel_batch(tested);
+    record_batch(tested);
     found
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The dispatch selector is process-global, so every test that
-    // mutates it lives in this single test fn — the parallel harness
-    // must not interleave two tests that assert on `current()`.
-    #[test]
-    fn dispatch_round_trips_and_batched_paths() {
-        let before = current();
-        set_dispatch(KernelDispatch::Scalar);
-        assert_eq!(current(), KernelDispatch::Scalar);
-        assert_eq!(current().name(), "scalar");
-        set_dispatch(KernelDispatch::Chunked);
-        assert_eq!(current(), KernelDispatch::Chunked);
-        assert_eq!(
-            set_dispatch_from_str("scalar").unwrap(),
-            KernelDispatch::Scalar
-        );
-        assert_eq!(
-            set_dispatch_from_str("chunked").unwrap(),
-            KernelDispatch::Chunked
-        );
-        assert!(set_dispatch_from_str("wat").is_err());
-        // `auto` resolves the environment default (chunked when unset).
-        let auto = set_dispatch_from_str("auto").unwrap();
-        assert_eq!(auto, current());
-
-        // Batched entries agree across both dispatches, including on
-        // blocks larger than one strip.
-        let mut st = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            st ^= st << 13;
-            st ^= st >> 7;
-            st ^= st << 17;
-            (st >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let dim = 3;
-        let block: Vec<f64> = (0..dim * (2 * super::STRIP_ROWS + 7))
-            .map(|_| next())
-            .collect();
-        let t: Vec<f64> = (0..dim).map(|_| next() * 0.6 + 0.2).collect();
-        set_dispatch(KernelDispatch::Scalar);
-        let any_s = any_dominates_block(&block, dim, &t);
-        let count_s = count_dominating_block(&block, dim, &t);
-        set_dispatch(KernelDispatch::Chunked);
-        assert_eq!(any_dominates_block(&block, dim, &t), any_s);
-        assert_eq!(count_dominating_block(&block, dim, &t), count_s);
-
-        set_dispatch(before);
-    }
 
     #[test]
     fn chunked_matches_scalar_on_fixed_cases() {
@@ -926,16 +651,5 @@ mod tests {
         let sb: Vec<u64> = bs.iter().map(|v| v.to_bits()).collect();
         let cb: Vec<u64> = bc.iter().map(|v| v.to_bits()).collect();
         assert_eq!(sb, cb);
-    }
-
-    #[test]
-    fn transform_buffers_match() {
-        let p = [1.0, -2.0, 3.5, 4.0, 5.25, -6.0];
-        let o = [0.5, 2.0, -3.5, 4.0, 0.0, 6.0];
-        let mut a = vec![9.0; 2];
-        let mut b = Vec::new();
-        abs_diff_into_scalar(&p, &o, &mut a);
-        abs_diff_into_chunked(&p, &o, &mut b);
-        assert_eq!(a, b);
     }
 }

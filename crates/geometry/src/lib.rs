@@ -8,9 +8,9 @@
 //! * [`Rect`] — an axis-aligned (hyper-)rectangle.
 //! * [`dominance`] — static, dynamic and global dominance tests used by
 //!   skyline, dynamic-skyline and reverse-skyline computations.
-//! * [`kernels`] — lane-chunked variants of the dominance, transform and
-//!   min-distance inner loops plus batched one-vs-many entry points,
-//!   selected at runtime by the process-wide [`KernelDispatch`] policy.
+//! * [`kernels`] — the lane-chunked dominance and min-distance inner
+//!   loops plus batched one-vs-many entry points, with the scalar loops
+//!   they are tested against.
 //! * [`transform`] — the coordinate-wise absolute-distance transform that
 //!   maps a dataset into the space centred at a query/customer point, and
 //!   the orthant bookkeeping needed to map regions back.
@@ -27,8 +27,6 @@
 //! * [`store`] — flat contiguous point storage ([`PointStore`]) with
 //!   borrow-based views ([`PointRef`], [`PointsView`]) for
 //!   allocation-free hot paths.
-//! * [`stats`] — the [`QueryStats`] instrumentation counters behind the
-//!   `query-stats` feature (zero-cost when disabled).
 //! * [`cost`] — weighted L1 edit-distance cost model (Eqns 8–11 of the
 //!   paper).
 
@@ -45,20 +43,17 @@ pub mod parallel;
 pub mod point;
 pub mod rect;
 pub mod region;
-pub mod stats;
 pub mod store;
 pub mod transform;
 
 pub use cost::{CostModel, Weights};
 pub use dominance::{dominates, dominates_components, dominates_dyn, dominates_global, Dominance};
 pub use invalidate::{dominator_region, release_region};
-pub use kernels::KernelDispatch;
 pub use key::{f64_key, CoordKey};
 pub use normalize::MinMaxNormalizer;
 pub use parallel::Parallelism;
 pub use point::{abs_diff_into, cmp_f64, max_f64, min_f64, Point};
 pub use rect::Rect;
 pub use region::Region;
-pub use stats::QueryStats;
 pub use store::{PointRef, PointStore, PointsView};
 pub use transform::{orthant_of, reflect_rect, to_distance_space, Orthant};

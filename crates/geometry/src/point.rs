@@ -43,15 +43,18 @@ pub fn min_f64(a: f64, b: f64) -> f64 {
 
 /// In-place absolute-distance transform: writes `(|p^i − origin^i|)_i`
 /// into `out`, clearing it first and reusing its allocation. The flat
-/// analogue of [`Point::abs_diff`] for allocation-free hot paths;
-/// evaluated by whichever kernel the process-wide
-/// [`crate::kernels::KernelDispatch`] selects (the transform is
-/// elementwise, so both produce identical bits).
+/// analogue of [`Point::abs_diff`] for allocation-free hot paths.
+///
+/// One stream loop: `(a - b).abs()` over zipped slices is branch-free,
+/// so LLVM emits packed code for it, and an explicit 4-lane variant only
+/// added per-chunk append overhead (0.6–1.0x in `BENCH_kernels.json`'s
+/// transform rows).
 #[inline]
 pub fn abs_diff_into(p: &[f64], origin: &[f64], out: &mut Vec<f64>) {
     debug_assert_eq!(p.len(), origin.len(), "dimensionality mismatch");
-    crate::stats::record_transform();
-    crate::kernels::abs_diff_into_raw(p, origin, out);
+    wnrs_obs::record(wnrs_obs::Counter::Transforms);
+    out.clear();
+    out.extend(p.iter().zip(origin.iter()).map(|(a, b)| (a - b).abs()));
 }
 
 /// An immutable point in `R^d`.
@@ -167,7 +170,7 @@ impl Point {
     #[must_use]
     pub fn abs_diff(&self, origin: &Self) -> Self {
         self.expect_same_dim(origin);
-        crate::stats::record_transform();
+        wnrs_obs::record(wnrs_obs::Counter::Transforms);
         Self::new(
             self.coords
                 .iter()

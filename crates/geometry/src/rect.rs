@@ -241,8 +241,7 @@ impl Rect {
 
     /// Minimum L1 distance from a raw coordinate slice to the rectangle:
     /// the flat analogue of [`Rect::min_l1`] for hot paths. Evaluated by
-    /// whichever kernel the process-wide
-    /// [`crate::kernels::KernelDispatch`] selects; both keep the scalar
+    /// [`crate::kernels::min_l1_chunked`], which keeps the scalar
     /// path's per-dim values and summation order, so the result is
     /// bit-identical to `min_l1` on the same inputs — and equal to the
     /// coordinate sum of the absolute-distance transform's lower bound
@@ -250,7 +249,7 @@ impl Rect {
     #[inline]
     pub fn min_l1_coords(&self, q: &[f64]) -> f64 {
         debug_assert_eq!(self.dim(), q.len());
-        crate::kernels::min_l1_raw(self.lo.coords(), self.hi.coords(), q)
+        crate::kernels::min_l1_chunked(self.lo.coords(), self.hi.coords(), q)
     }
 
     /// Minimum squared Euclidean distance from a raw coordinate slice to
@@ -259,31 +258,19 @@ impl Rect {
     #[inline]
     pub fn min_dist2_coords(&self, q: &[f64]) -> f64 {
         debug_assert_eq!(self.dim(), q.len());
-        (0..self.dim())
-            .map(|i| {
-                let v = if q[i] < self.lo[i] {
-                    self.lo[i] - q[i]
-                } else if q[i] > self.hi[i] {
-                    q[i] - self.hi[i]
-                } else {
-                    0.0
-                };
-                v * v
-            })
-            .sum()
+        box_min_dist2(self.lo.coords(), self.hi.coords(), q)
     }
 
     /// Writes the per-dimension minimum distances from `q` to the
     /// rectangle into `out` (clearing it first): the lower-bound corner
     /// of the rectangle's image under the absolute-distance transform
     /// centred at `q` — the prune bound BBS keeps per heap entry; never
-    /// allocates once `out` has capacity. Evaluated
-    /// by whichever kernel the process-wide
-    /// [`crate::kernels::KernelDispatch`] selects (bit-identical lanes).
+    /// allocates once `out` has capacity. Evaluated by
+    /// [`crate::kernels::min_dists_into_chunked`] (bit-identical lanes).
     #[inline]
     pub fn min_dists_into(&self, q: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(self.dim(), q.len());
-        crate::kernels::min_dists_into_raw(self.lo.coords(), self.hi.coords(), q, out);
+        crate::kernels::min_dists_into_chunked(self.lo.coords(), self.hi.coords(), q, out);
     }
 
     /// All `2^d` corner points (Algorithm 4, `corner_points`).
@@ -334,6 +321,28 @@ impl Rect {
         }
         Rect::new(Point::new(lo), Point::new(hi))
     }
+}
+
+/// Minimum squared Euclidean distance from `q` to the box `[lo, hi]`
+/// (zero inside), on raw corner slices: the R-tree `MINDIST` bound for
+/// walks that read entry corners without building a [`Rect`].
+#[inline]
+#[must_use]
+pub fn box_min_dist2(lo: &[f64], hi: &[f64], q: &[f64]) -> f64 {
+    debug_assert_eq!(lo.len(), hi.len());
+    debug_assert_eq!(lo.len(), q.len());
+    let dims = lo.iter().zip(hi).zip(q);
+    dims.map(|((&l, &h), &c)| {
+        let v = if c < l {
+            l - c
+        } else if c > h {
+            c - h
+        } else {
+            0.0
+        };
+        v * v
+    })
+    .sum()
 }
 
 impl fmt::Debug for Rect {

@@ -1,13 +1,12 @@
 //! Bit-identity proofs for the chunked kernels of
 //! [`wnrs_geometry::kernels`].
 //!
-//! The dispatch contract promises that `Chunked` and `Scalar` answers
-//! are indistinguishable — not merely "close": predicates agree on
-//! every input (ties, signed zeros, strictness carried only by the last
-//! lane) and numeric kernels agree **bit for bit** (`to_bits`
-//! equality), across dimensionalities 1..=16 so every tail length
-//! `0..4 mod 4` and both sides of the `dim_dispatch!` fixed/generic
-//! split are exercised.
+//! Every shipped kernel must be indistinguishable from its scalar
+//! reference loop — not merely "close": predicates agree on every input
+//! (ties, signed zeros, strictness carried only by the last lane) and
+//! numeric kernels agree **bit for bit** (`to_bits` equality), across
+//! dimensionalities 1..=16 so every tail length `0..4 mod 4` and both
+//! sides of the `dim_dispatch!` fixed/generic split are exercised.
 
 use proptest::prelude::*;
 use wnrs_geometry::kernels;
@@ -74,20 +73,6 @@ proptest! {
     }
 
     #[test]
-    fn abs_diff_chunked_matches_scalar_bitwise(dim in arb_dim(), seed in arb_coords(32)) {
-        let p = &seed[..dim];
-        let origin = &seed[16..16 + dim];
-        let mut scalar = Vec::new();
-        let mut chunked = Vec::new();
-        kernels::abs_diff_into_scalar(p, origin, &mut scalar);
-        kernels::abs_diff_into_chunked(p, origin, &mut chunked);
-        prop_assert_eq!(scalar.len(), chunked.len());
-        for (s, c) in scalar.iter().zip(chunked.iter()) {
-            prop_assert_eq!(s.to_bits(), c.to_bits());
-        }
-    }
-
-    #[test]
     fn min_l1_chunked_matches_scalar_bitwise(
         dim in arb_dim(),
         seed in arb_coords(32),
@@ -121,10 +106,7 @@ proptest! {
     }
 
     // The batched block kernels must agree with a plain per-row scalar
-    // fold under BOTH dispatches — this is the only test here that
-    // touches the dispatch global, and no sibling asserts on
-    // `current()`, so harness parallelism cannot interleave a flip into
-    // a failing observation (both dispatches give identical answers).
+    // fold.
     #[test]
     fn block_kernels_match_rowwise_reference(
         dim in arb_dim(),
@@ -141,12 +123,8 @@ proptest! {
             .chunks_exact(dim)
             .filter(|row| kernels::dominates_scalar(row, t))
             .count();
-        for d in [kernels::KernelDispatch::Scalar, kernels::KernelDispatch::Chunked] {
-            kernels::set_dispatch(d);
-            prop_assert_eq!(kernels::any_dominates_block(block, dim, t), want_any);
-            prop_assert_eq!(kernels::count_dominating_block(block, dim, t), want_count);
-        }
-        kernels::set_dispatch(kernels::KernelDispatch::Chunked);
+        prop_assert_eq!(kernels::any_dominates_block(block, dim, t), want_any);
+        prop_assert_eq!(kernels::count_dominating_block(block, dim, t), want_count);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! Spans, counters, latency histograms and exporters for the why-not
 //! reverse-skyline pipeline. The crate is deliberately dependency-free
 //! (the workspace builds offline; see `vendor/README.md`) and follows
-//! the same compile-time gating discipline as `query-stats` and
-//! `invariant-checks`:
+//! the same compile-time gating discipline as `invariant-checks`:
 //!
 //! * **without** the `enabled` feature, every recording function is an
 //!   empty `#[inline]` stub and [`span!`] expands to a zero-sized guard
@@ -36,13 +35,14 @@
 //! trace buffer ([`set_trace`]/[`take_trace`]) is thread-local and
 //! meant for single-threaded query debugging.
 //!
-//! ## Relationship to `wnrs-geometry::stats`
+//! ## The workspace's one counter system
 //!
-//! This crate supersedes the per-thread `QueryStats` counters from
-//! PR 3: geometry's `record_*` hooks now forward here as well, so a
-//! single build with `--features obs` yields both the legacy snapshot
-//! API and the full report/exporter pipeline documented in
-//! `docs/OBSERVABILITY.md`.
+//! Every hot-path hook in the workspace (node visits, heap pushes,
+//! dominance tests, transforms, batched kernel calls) calls [`record`]
+//! or [`record_n`] directly; there is no second, thread-local layer.
+//! Per-query numbers are [`counter_value`] differences or span
+//! attribution; `docs/OBSERVABILITY.md` documents the full
+//! report/exporter pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

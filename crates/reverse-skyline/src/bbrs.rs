@@ -96,7 +96,7 @@ pub fn global_skyline<S: NodeSource>(
                     }
                 }
                 for (child, lo, hi) in data.read_node(node, level, &mut buf)?.iter() {
-                    let key = kernels::min_l1_raw(lo, hi, q.coords());
+                    let key = kernels::min_l1_chunked(lo, hi, q.coords());
                     let at = coords.len();
                     coords.extend_from_slice(lo);
                     match child {

@@ -7,7 +7,7 @@
 //! paper's first why-not answer: the products the customer finds more
 //! interesting than `q`.
 
-use wnrs_geometry::{dominates_dyn, kernels, stats, Point, Rect};
+use wnrs_geometry::{dominates_dyn, kernels, Point, Rect};
 use wnrs_rtree::paged::NodeBuf;
 use wnrs_rtree::persist::PersistError;
 use wnrs_rtree::{into_ok, window_walk, ItemId, NodeSource, PagedRTree, RTree, WindowScratch};
@@ -141,9 +141,9 @@ pub fn is_reverse_skyline_member_with<S: NodeSource>(
             return false;
         }
         tested += 1;
-        kernels::dominates_dyn_raw(p, q.coords(), c.coords())
+        kernels::dominates_dyn_chunked(p, q.coords(), c.coords())
     });
-    stats::record_dominance_tests(tested);
+    wnrs_obs::record_n(wnrs_obs::Counter::DominanceTests, tested);
     Ok(!blocked?)
 }
 

@@ -11,8 +11,8 @@
 //! * deletion with tree condensation and orphan reinsertion;
 //! * STR (sort-tile-recursive) bulk loading;
 //! * window (range) queries — the `window_query` primitive of the paper;
-//! * best-first traversal in arbitrary `MINDIST` order, the hook the BBS
-//!   skyline algorithm and k-NN search are built on;
+//! * the best-first frontier ([`Frontier`]) the BBS skylines, BBRS and
+//!   k-NN search pop from;
 //! * one node-access trait, [`NodeSource`], implemented by the arena
 //!   tree and by the page-resident [`PagedRTree`], over which every
 //!   index walk of the algorithm crates is written once;
@@ -42,7 +42,7 @@ pub mod validate;
 pub use config::RTreeConfig;
 pub use node::{Child, Entry, ItemId, Node, NodeId};
 pub use paged::PagedRTree;
-pub use query::{knn, nearest, BestFirst, Frontier, Traversal};
+pub use query::{knn, nearest, Frontier};
 pub use source::{into_ok, window_walk, NodeSource, NodeView, WindowScratch};
 pub use stream::bulk_load_stream;
 pub use tree::RTree;

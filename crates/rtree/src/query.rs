@@ -1,57 +1,16 @@
-//! Best-first traversal and nearest-neighbour search.
+//! The best-first frontier and nearest-neighbour search.
 //!
-//! [`BestFirst`] is the priority-queue traversal of the arena tree used
-//! by k-NN search and the static BBS skyline: entries are popped in
-//! increasing order of a caller-supplied key on their bounding
-//! rectangles, and the caller decides whether to expand each popped node
-//! (which is what lets BBS prune dominated subtrees). [`Frontier`] is
-//! the min-heap behind it, which the walks over either node source (the
-//! BBS dynamic skyline, BBRS's global skyline) pop from as well.
+//! [`Frontier`] is the min-heap every best-first walk pops from: k-NN
+//! search here, and over either node source the BBS skylines and BBRS's
+//! global skyline.
 
 use crate::node::{Child, ItemId, NodeId};
+use crate::source::{into_ok, NodeSource, NodeView};
 use crate::tree::RTree;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use wnrs_geometry::{cmp_f64, Point, Rect};
-
-/// One element popped from a [`BestFirst`] traversal.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Traversal {
-    /// An inner or leaf node, not yet expanded.
-    Node {
-        /// The node's id (pass to [`BestFirst::expand`] to descend).
-        id: NodeId,
-        /// The node's level (0 = leaf).
-        level: u32,
-        /// The key of the node's bounding rectangle.
-        key: f64,
-        /// The node's bounding rectangle.
-        rect: Rect,
-    },
-    /// A data point.
-    Item {
-        /// The item's id.
-        id: ItemId,
-        /// The point.
-        point: Point,
-        /// The key of the point's (degenerate) rectangle.
-        key: f64,
-    },
-}
-
-impl Traversal {
-    /// The priority key of the element.
-    pub fn key(&self) -> f64 {
-        match self {
-            Traversal::Node { key, .. } | Traversal::Item { key, .. } => *key,
-        }
-    }
-}
-
-enum Payload {
-    Node(NodeId),
-    Item(ItemId, Point),
-}
+use wnrs_geometry::rect::box_min_dist2;
+use wnrs_geometry::{cmp_f64, Point};
 
 /// The frontier of a best-first walk: a min-heap on `f64` keys that
 /// pops the smallest key first and breaks ties by push order, so every
@@ -107,7 +66,7 @@ impl<T> Frontier<T> {
 
     /// Adds `item` under `key`.
     pub fn push(&mut self, key: f64, item: T) {
-        wnrs_geometry::stats::record_heap_push();
+        wnrs_obs::record(wnrs_obs::Counter::HeapPushes);
         self.seq += 1;
         self.heap.push(Ranked {
             key,
@@ -123,100 +82,57 @@ impl<T> Frontier<T> {
     }
 }
 
-/// A best-first traversal of an [`RTree`] driven by a key function on
-/// bounding rectangles.
-///
-/// # Examples
-///
-/// Nearest-first enumeration of all points:
-///
-/// ```
-/// use wnrs_geometry::{cmp_f64, Point, Rect};
-/// use wnrs_rtree::{bulk::bulk_load, BestFirst, RTreeConfig, Traversal};
-///
-/// let pts = vec![Point::xy(0.0, 0.0), Point::xy(5.0, 5.0), Point::xy(1.0, 1.0)];
-/// let tree = bulk_load(&pts, RTreeConfig::with_max_entries(8));
-/// let q = Point::xy(0.0, 0.0);
-/// let mut bf = BestFirst::new(&tree, move |r: &Rect| r.min_dist2(&q));
-/// let mut order = Vec::new();
-/// while let Some(t) = bf.pop() {
-///     match t {
-///         Traversal::Node { id, .. } => bf.expand(id),
-///         Traversal::Item { id, .. } => order.push(id.0),
-///     }
-/// }
-/// assert_eq!(order, vec![0, 2, 1]);
-/// ```
-pub struct BestFirst<'a, K> {
-    tree: &'a RTree,
-    key: K,
-    heap: Frontier<Payload>,
-}
-
-impl<'a, K: FnMut(&Rect) -> f64> BestFirst<'a, K> {
-    /// Starts a traversal at the root.
-    #[must_use]
-    pub fn new(tree: &'a RTree, key: K) -> Self {
-        let mut this = Self {
-            tree,
-            key,
-            heap: Frontier::default(),
-        };
-        if !tree.is_empty() {
-            let root = tree.root();
-            let rect = tree.node(root).mbr();
-            let k = (this.key)(&rect);
-            this.heap.push(k, Payload::Node(root));
-        }
-        this
-    }
-
-    /// Pops the smallest-key element, or `None` when exhausted.
-    pub fn pop(&mut self) -> Option<Traversal> {
-        let (key, payload) = self.heap.pop()?;
-        Some(match payload {
-            Payload::Node(id) => {
-                let node = self.tree.node(id);
-                Traversal::Node {
-                    id,
-                    level: node.level(),
-                    key,
-                    rect: node.mbr(),
-                }
-            }
-            Payload::Item(id, point) => Traversal::Item { id, point, key },
-        })
-    }
-
-    /// Pushes the children of `node` onto the frontier (counts one node
-    /// visit). Call after popping a `Traversal::Node` you decide not to
-    /// prune.
-    pub fn expand(&mut self, node: NodeId) {
-        self.tree.record_visit();
-        for e in self.tree.node(node).entries() {
-            let k = (self.key)(e.rect());
-            let payload = match e.child() {
-                Child::Node(id) => Payload::Node(id),
-                // lint:allow(hot_path_alloc) reason=owned Point required by the public Traversal API
-                Child::Item(id) => Payload::Item(id, e.point().clone()),
-            };
-            self.heap.push(k, payload);
-        }
-    }
+/// An entry of the k-NN frontier: a node with its level, or an item
+/// with the offset of its coordinates in the walk's flat arena.
+enum Slot {
+    Node(NodeId, u32),
+    Item(ItemId, usize),
 }
 
 /// The `k` nearest neighbours of `q` by Euclidean distance, nearest
 /// first. Ties broken by traversal order.
+///
+/// # Examples
+///
+/// ```
+/// use wnrs_geometry::Point;
+/// use wnrs_rtree::{bulk::bulk_load, knn, RTreeConfig};
+///
+/// let pts = vec![Point::xy(0.0, 0.0), Point::xy(5.0, 5.0), Point::xy(1.0, 1.0)];
+/// let tree = bulk_load(&pts, RTreeConfig::with_max_entries(8));
+/// let order: Vec<u32> = knn(&tree, &Point::xy(0.0, 0.0), 3)
+///     .iter()
+///     .map(|(id, _)| id.0)
+///     .collect();
+/// assert_eq!(order, vec![0, 2, 1]);
+/// ```
 pub fn knn(tree: &RTree, q: &Point, k: usize) -> Vec<(ItemId, Point)> {
     assert_eq!(q.dim(), tree.dim(), "query dimensionality mismatch");
-    // lint:allow(hot_path_alloc) reason=one query-point clone per knn call, not per candidate
-    let q = q.clone();
-    let mut bf = BestFirst::new(tree, move |r: &Rect| r.min_dist2(&q));
+    let d = q.dim();
     let mut out = Vec::with_capacity(k);
+    // lint:allow(hot_path_alloc) reason=per-query arena of pushed item coordinates, not per-entry
+    let mut coords = Vec::new();
+    let mut heap = Frontier::default();
+    // The root pops first, alone on the frontier: its key is never
+    // compared.
+    if let Some((root, level)) = tree.root_node() {
+        heap.push(0.0, Slot::Node(root, level));
+    }
     while out.len() < k {
-        match bf.pop() {
-            Some(Traversal::Node { id, .. }) => bf.expand(id),
-            Some(Traversal::Item { id, point, .. }) => out.push((id, point)),
+        match heap.pop() {
+            Some((_, Slot::Node(node, level))) => {
+                for (child, lo, hi) in into_ok(tree.read_node(node, level, &mut ())).iter() {
+                    let key = box_min_dist2(lo, hi, q.coords());
+                    match child {
+                        Child::Node(child) => heap.push(key, Slot::Node(child, level - 1)),
+                        Child::Item(id) => {
+                            heap.push(key, Slot::Item(id, coords.len()));
+                            coords.extend_from_slice(lo);
+                        }
+                    }
+                }
+            }
+            Some((_, Slot::Item(id, at))) => out.push((id, Point::from(&coords[at..at + d]))),
             None => break,
         }
     }
@@ -280,53 +196,34 @@ mod tests {
     }
 
     #[test]
-    fn best_first_yields_nondecreasing_keys() {
+    fn knn_yields_nearest_first() {
         let points = pts(300);
         let tree = bulk_load(&points, RTreeConfig::with_max_entries(8));
         let q = Point::xy(50.0, 50.0);
-        let mut bf = BestFirst::new(&tree, move |r: &Rect| r.min_dist2(&q));
-        let mut last_item_key = f64::NEG_INFINITY;
-        let mut items = 0;
-        while let Some(t) = bf.pop() {
-            match t {
-                Traversal::Node { id, key, .. } => {
-                    // A node's key lower-bounds everything below it.
-                    assert!(key >= 0.0);
-                    bf.expand(id);
-                }
-                Traversal::Item { key, .. } => {
-                    assert!(
-                        key >= last_item_key - 1e-12,
-                        "items must come out in non-decreasing key order"
-                    );
-                    last_item_key = key;
-                    items += 1;
-                }
-            }
+        let all = knn(&tree, &q, points.len());
+        assert_eq!(all.len(), 300);
+        let mut ids: Vec<u32> = all.iter().map(|(id, _)| id.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 300, "every item comes out once");
+        for pair in all.windows(2) {
+            assert!(
+                pair[0].1.dist2(&q) <= pair[1].1.dist2(&q),
+                "items must come out in non-decreasing distance order"
+            );
         }
-        assert_eq!(items, 300);
+        for (id, p) in &all {
+            assert!(p.same_location(&points[id.0 as usize]));
+        }
     }
 
     #[test]
-    fn pruning_skips_subtrees() {
+    fn knn_visits_fewer_nodes_than_the_tree_holds() {
         let points = pts(300);
         let tree = bulk_load(&points, RTreeConfig::with_max_entries(8));
-        let q = Point::xy(0.0, 0.0);
-        // Expand nothing beyond keys ≤ 1000: traversal must terminate
-        // early and visit fewer nodes than a full walk.
         tree.reset_visits();
-        let mut bf = BestFirst::new(&tree, move |r: &Rect| r.min_dist2(&q));
-        let mut seen = 0usize;
-        while let Some(t) = bf.pop() {
-            if let Traversal::Node { id, key, .. } = t {
-                if key <= 1000.0 {
-                    bf.expand(id);
-                }
-            } else {
-                seen += 1;
-            }
-        }
-        assert!(seen < 300);
+        let got = knn(&tree, &Point::xy(0.0, 0.0), 5);
+        assert_eq!(got.len(), 5);
         assert!((tree.node_visits() as usize) < tree.node_count());
     }
 }

@@ -126,7 +126,7 @@ impl RTree {
     /// bichromatic pruning) report comparable statistics.
     #[inline]
     pub fn record_visit(&self) {
-        wnrs_geometry::stats::record_node_visit();
+        wnrs_obs::record(wnrs_obs::Counter::NodeVisits);
         self.visits.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -7,32 +7,43 @@
 //! corner is dominated by an already-found skyline point can be pruned
 //! wholesale, which makes BBS I/O-optimal for skylines.
 
-use wnrs_geometry::{abs_diff_into, dominates, kernels, Point, PointsView, Rect};
-use wnrs_rtree::{
-    into_ok, BestFirst, Child, Frontier, ItemId, NodeId, NodeSource, NodeView, RTree, Traversal,
-};
+use wnrs_geometry::{abs_diff_into, dominates_components, kernels, Point, PointsView};
+use wnrs_rtree::{into_ok, Child, Frontier, ItemId, NodeId, NodeSource, NodeView, RTree};
 
 /// The static skyline of the indexed points via BBS, as `(id, point)`
 /// pairs in discovery (MINDIST) order.
 pub fn bbs_skyline(tree: &RTree) -> Vec<(ItemId, Point)> {
     let _span = wnrs_obs::span!("bbs_skyline");
-    // lint:allow(hot_path_alloc) reason=per-query setup, not per-candidate
-    let mut skyline: Vec<Point> = Vec::new();
-    // lint:allow(hot_path_alloc) reason=per-query setup, not per-candidate
-    let mut out: Vec<(ItemId, Point)> = Vec::new();
-    let mut bf = BestFirst::new(tree, |r: &Rect| r.lo().coords().iter().sum());
-    while let Some(t) = bf.pop() {
-        match t {
-            Traversal::Node { id, rect, .. } => {
-                if !skyline.iter().any(|s| dominates(s, rect.lo())) {
-                    bf.expand(id);
+    let dim = tree.dim();
+    // lint:allow(hot_path_alloc) reason=per-query accumulators, not per-entry
+    let (mut sky, mut out, mut lows) = (Vec::<f64>::new(), Vec::new(), Vec::<f64>::new());
+    let dominated =
+        |sky: &[f64], lo: &[f64]| sky.chunks_exact(dim).any(|s| dominates_components(s, lo));
+    let mut heap = Frontier::default();
+    if let Some((root, level)) = tree.root_node() {
+        heap.push(0.0, Slot::Node(root, level, ROOT_SENTINEL));
+    }
+    while let Some((_, slot)) = heap.pop() {
+        match slot {
+            Slot::Node(node, level, at) => {
+                if at != ROOT_SENTINEL && dominated(&sky, &lows[at as usize..][..dim]) {
+                    continue;
+                }
+                for (child, lo, _) in into_ok(tree.read_node(node, level, &mut ())).iter() {
+                    let key: f64 = lo.iter().sum();
+                    let at = stash(&mut lows, lo);
+                    match child {
+                        Child::Node(child) => heap.push(key, Slot::Node(child, level - 1, at)),
+                        // An item's lower corner is the point itself.
+                        Child::Item(id) => heap.push(key, Slot::Item(id, at, at)),
+                    }
                 }
             }
-            Traversal::Item { id, point, .. } => {
-                if !skyline.iter().any(|s| dominates(s, &point)) {
-                    // lint:allow(hot_path_alloc) reason=one clone per accepted skyline point
-                    skyline.push(point.clone());
-                    out.push((id, point));
+            Slot::Item(id, at, _) => {
+                let p = &lows[at as usize..][..dim];
+                if !dominated(&sky, p) {
+                    sky.extend_from_slice(p);
+                    out.push((id, Point::from(p)));
                 }
             }
         }
@@ -105,10 +116,12 @@ pub fn dynamic_skyline<S: NodeSource>(
         .collect())
 }
 
-/// Heap payload of the BBS walk: a node to maybe-expand (with its
-/// level), or a leaf entry. Both carry the arena offset of their
-/// transformed-space lower bound ([`BbsScratch::tarena`]) so the
-/// pop-time prune re-check reads no node; an item also carries the
+/// Heap payload of the BBS walks: a node to maybe-expand (with its
+/// level), or a leaf entry. Both carry the arena offset of their lower
+/// bound — transformed-space in the dynamic walk
+/// ([`BbsScratch::tarena`]), the box's own lower corner in
+/// [`bbs_skyline`] — so the pop-time prune re-check reads no node; an
+/// item also carries the
 /// offset of its original coordinates ([`BbsScratch::parena`]), since a
 /// page may leave the pool between push and pop.
 #[derive(Debug, Clone, Copy)]
@@ -213,7 +226,7 @@ fn stash(arena: &mut Vec<f64>, coords: &[f64]) -> u32 {
 /// [`BbsScratch::dsl_t`]).
 ///
 /// Heap keys are the `min_l1` distance of each entry's box to `q`
-/// ([`kernels::min_l1_raw`]) and ties break by insertion sequence, so
+/// ([`kernels::min_l1_chunked`]) and ties break by insertion sequence, so
 /// both sources visit entries in the same order. Entries already
 /// dominated by the skyline are pruned *at push time* (the skyline only
 /// grows, so anything dominated at push would be dominated at pop too);
@@ -276,10 +289,10 @@ pub fn bbs_dynamic_skyline_scratch<S: NodeSource>(
                     }
                 }
                 for (child, lo, hi) in tree.read_node(node, level, buf)?.iter() {
-                    let key = kernels::min_l1_raw(lo, hi, q);
+                    let key = kernels::min_l1_chunked(lo, hi, q);
                     match child {
                         Child::Node(child) => {
-                            kernels::min_dists_into_raw(lo, hi, q, tbuf);
+                            kernels::min_dists_into_chunked(lo, hi, q, tbuf);
                             if any_dominates(sky_t, dim, tbuf) {
                                 continue;
                             }
@@ -322,6 +335,7 @@ mod tests {
     use super::*;
     use crate::bnl::bnl_skyline;
     use std::sync::Arc;
+    use wnrs_geometry::Rect;
     use wnrs_rtree::bulk::bulk_load;
     use wnrs_rtree::persist::save;
     use wnrs_rtree::{PagedRTree, RTreeConfig};
@@ -360,6 +374,17 @@ mod tests {
         got.sort_unstable();
         let want: Vec<u32> = bnl_skyline(&pts).iter().map(|&i| i as u32).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn pruning_skips_subtrees() {
+        // Subtrees whose lower corner a found skyline point dominates
+        // are never read.
+        let pts = pseudo_points(300, 17, 2);
+        let tree = bulk_load(&pts, RTreeConfig::with_max_entries(8));
+        tree.reset_visits();
+        assert!(!bbs_skyline(&tree).is_empty());
+        assert!((tree.node_visits() as usize) < tree.node_count());
     }
 
     #[test]
@@ -435,7 +460,7 @@ mod tests {
         let r = Rect::new(Point::xy(2.0, 2.0), Point::xy(4.0, 4.0));
         let lo = |q: [f64; 2]| {
             let mut out = Vec::new();
-            kernels::min_dists_into_raw(r.lo().coords(), r.hi().coords(), &q, &mut out);
+            kernels::min_dists_into_chunked(r.lo().coords(), r.hi().coords(), &q, &mut out);
             out
         };
         // q inside in x, below in y.

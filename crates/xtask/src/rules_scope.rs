@@ -240,10 +240,6 @@ struct PolicySite {
 ///   hit/miss statistics are plain `Relaxed` counters.
 /// * `sync.rs` — the shim forwards caller-chosen orderings and never
 ///   hard-codes one; its own bookkeeping is `Relaxed`.
-/// * `geometry/kernels.rs` — the process-wide dispatch selector is a
-///   single `AtomicU8` read per batched call; both dispatches compute
-///   bit-identical answers, so a stale read is merely a slower (never
-///   wrong) path and `Relaxed` suffices.
 /// * the `wnrs-server` trio (`host.rs`, `queue.rs`, `server.rs`) —
 ///   flags and occupancy counters whose cross-thread ordering comes
 ///   from the queue mutex and socket syscalls, so `Relaxed` only.
@@ -277,7 +273,6 @@ fn policy_for(file: &str) -> Option<&'static [PolicySite]> {
     match file {
         f if f.ends_with("crates/core/src/cache.rs") => Some(&CACHE),
         f if f.ends_with("crates/core/src/sync.rs")
-            || f.ends_with("crates/geometry/src/kernels.rs")
             || f.ends_with("crates/obs/src/imp.rs")
             || f.ends_with("crates/rtree/src/tree.rs")
             || f.ends_with("crates/storage/src/stats.rs")

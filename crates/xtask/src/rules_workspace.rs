@@ -1,8 +1,8 @@
 //! Pass A: workspace-model rules (W1 `feature_cascade`, W2 `dep_graph`,
 //! W3 `cfg_consistency`) over the parsed manifest graph.
 //!
-//! The cascade features this workspace threads crate-by-crate — `obs`,
-//! `invariant-checks`, `query-stats` — only work when every crate that
+//! The cascade features this workspace threads crate-by-crate — `obs`
+//! and `invariant-checks` — only work when every crate that
 //! declares one forwards it to **every** direct dependency that also
 //! declares it: a single missing `"dep/feature"` entry silently turns
 //! the feature off for a whole subtree, which is invisible until
@@ -24,7 +24,7 @@ use crate::rules::{apply_workspace_allows, AllowRecord, Finding, Rule};
 use std::collections::BTreeMap;
 
 /// The features that must cascade leaf-ward along dependency edges.
-pub const CASCADE_FEATURES: [&str; 3] = ["obs", "invariant-checks", "query-stats"];
+pub const CASCADE_FEATURES: [&str; 2] = ["obs", "invariant-checks"];
 
 /// In `wnrs-obs` the `obs` cascade terminates as the `enabled`
 /// feature, so forwarding to it is spelled `wnrs-obs/enabled`.

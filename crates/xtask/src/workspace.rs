@@ -337,7 +337,7 @@ mod tests {
         assert_eq!(obs.line, 5);
         assert!(m.feature("empty").expect("empty").entries.is_empty());
         assert!(m.declares_feature("obs"));
-        assert!(!m.declares_feature("query-stats"));
+        assert!(!m.declares_feature("invariant-checks"));
     }
 
     #[test]

@@ -38,6 +38,7 @@ use wnrs_bench::{make_dataset, DatasetKind};
 use wnrs_core::paged::PagedEngine;
 use wnrs_core::safe_region::ApproxDslStore;
 use wnrs_core::Parallelism;
+use wnrs_core::{Customer, Question};
 use wnrs_data::cardb_stream;
 use wnrs_geometry::{CostModel, MinMaxNormalizer, Point, Rect, Weights};
 use wnrs_rtree::bulk::bulk_load;
@@ -210,13 +211,14 @@ fn run_size(n: usize, dir: &std::path::Path) -> SizeResult {
     let mut mwq_pages = 0u64;
     for (k, (i, c)) in probes.iter().take(MWQ_PROBES).enumerate() {
         let (_, q) = &probes[(k + 1) % PROBES];
+        let question = Question::Mwq {
+            customer: Customer::PointExcluding(c.clone(), ItemId(*i as u32)),
+            q: q.clone(),
+            approx_k: None,
+        };
         stats.reset();
         let clock = Instant::now();
-        std::hint::black_box(
-            engine
-                .mwq_full(c, Some(ItemId(*i as u32)), q)
-                .unwrap_or_else(|e| die("mwq_full", &e)),
-        );
+        std::hint::black_box(engine.answer(&question).unwrap_or_else(|e| die("mwq", &e)));
         mwq_secs += clock.elapsed().as_secs_f64();
         mwq_pages += stats.logical_reads();
         resident_max = resident_max.max(engine.tree().pool().resident());

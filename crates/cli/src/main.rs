@@ -27,9 +27,10 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
-use wnrs_core::{WhyNotEngine, WnrsError};
+use wnrs_core::{Customer, Question, Reply, WhyNotEngine, WnrsError};
 use wnrs_geometry::{Parallelism, Point};
 use wnrs_rtree::ItemId;
+use wnrs_server::server::EngineHost;
 use wnrs_storage::Pager as _;
 
 fn main() -> ExitCode {
@@ -52,45 +53,43 @@ const USAGE: &str = "usage:
   wnrs rsl --data <file.csv> --query <x,y,...>
   wnrs explain|mwp|mqp --data <file.csv> --query <x,y,...> --whynot <index>
   wnrs mwq --data <file.csv> --query <x,y,...> --whynot <index> [--approx-k <k>]
-  wnrs safe-region --data <file.csv> --query <x,y,...>
+  wnrs safe-region --data <file.csv> --query <x,y,...> [--approx-k <k>]
   wnrs profile --data <file.csv> --query <x,y,...> --whynot <index> [--approx-k <k>]
   wnrs serve --data <file.csv> | --index <file.idx> [--addr 127.0.0.1:7878]
              [--threads <n>] [--queue-depth <n>] [--max-conns <n>]
              [--deadline-ms <n>] [--cache on|off] [--paged on [--pool-pages <n>]]
-             [--lazy on --approx-k <k>]
+             [--approx-k <k>]
   wnrs client --addr <host:port> --op ping|rsl|explain|mwp|mqp|safe-region|mwq|
               insert|delete|shutdown [--query <x,y,...>] [--whynot <id>]
               [--whynot-point <x,y,...>] [--point <x,y,...>]
 
 every command that accepts --data also accepts --index to load a
-persisted tree instead of rebuilding it. query commands also accept
---threads <n> to parallelise safe-region construction and the
-approximate-DSL store build (results are identical at any count), and
---cache on|off (default off) to enable the cross-query reuse layer
+persisted tree instead of rebuilding it. the why-not customer is a
+dataset tuple (--whynot <index>), a point (--whynot-point <x,y,...>),
+or both: a point whose own tuple <index> is excluded. query commands
+also accept --threads <n> to parallelise safe-region construction and
+the approximate-DSL store build (results are identical at any count),
+and --cache on|off (default off) to enable the cross-query reuse layer
 (memoised skylines / anti-DDRs / safe regions; answers are identical;
-`profile` prints the hit/miss statistics).
+`profile` prints the hit/miss statistics). --approx-k <k> asks for the
+safe region approximated from k-sampled dynamic skylines.
 
 out-of-core mode: rsl, explain, mwp, mqp, safe-region and mwq accept
 --paged on with --index <file.idx> to run end-to-end through the
 page-resident engine (bounded buffer pool, no in-memory point arena;
-answers are bit-identical). --pool-pages <n> sets the pool budget
-(default 256 pages of 1536 bytes). the why-not customer is then given
-by coordinates (--whynot-point <x,y,...>), optionally with --whynot
-<index> for the own-tuple exclusion.
-
-lazy approximation: mwq and profile accept --lazy on with --approx-k
-<k> to derive the approximate safe region from lazily materialised
-per-customer DSL samples (no offline store build; identical region,
-see `profile`'s dsl_lazy_* counters).
+answers are bit-identical, exact safe regions only). --pool-pages <n>
+sets the pool budget (default 256 pages of 1536 bytes). the why-not
+customer is then given by coordinates (--whynot-point).
 
 serving: `wnrs serve` hosts the engine behind the wire protocol of
 docs/SERVING.md (threaded workers, bounded admission queue, explicit
 overload shedding, draining shutdown) and blocks until a client sends
 the shutdown opcode. `wnrs client` performs one request against a
 running server and prints the answer; --op shutdown stops the server
-gracefully. serving flags: --threads sets the worker pool, --queue-depth
-the admission queue, --max-conns the connection cap, --deadline-ms the
-per-request deadline.
+gracefully. serving flags: --threads sets the worker pool (the hosted
+engine itself runs sequentially), --queue-depth the admission queue,
+--max-conns the connection cap, --deadline-ms the per-request
+deadline, --approx-k serves approximate safe regions (in-memory only).
 
 observability (requires building with --features obs, else empty):
   --metrics-out <path|->   write the metrics report after the command
@@ -107,31 +106,19 @@ fn run(args: &[String]) -> Result<(), WnrsError> {
         wnrs_obs::set_trace(true);
     }
     // `serve` handles --paged itself (the server hosts either engine
-    // mode); everything else routes through the paged pipeline here.
-    if cmd == "serve" {
-        serve(&opts)?;
-        return emit_observability(&opts);
-    }
-    if cmd == "client" {
-        client_cmd(&opts)?;
-        return emit_observability(&opts);
-    }
-    if paged_mode(&opts)? {
-        run_paged(cmd, &opts)?;
-        return emit_observability(&opts);
-    }
+    // mode); of the other commands only questions run paged.
+    let paged = !matches!(cmd.as_str(), "serve" | "client") && paged_mode(&opts)?;
     match cmd.as_str() {
+        "serve" => serve(&opts),
+        "client" => client_cmd(&opts),
+        "generate" | "index" | "stats" | "profile" if paged => Err(WnrsError::usage(format!(
+            "--paged on does not apply to `{cmd}`"
+        ))),
         "generate" => generate(&opts),
         "index" => index(&opts),
         "stats" => stats(&opts),
-        "rsl" => rsl(&opts),
-        "explain" => explain(&opts),
-        "mwp" => mwp(&opts),
-        "mqp" => mqp(&opts),
-        "mwq" => mwq(&opts),
-        "safe-region" => safe_region(&opts),
         "profile" => profile(&opts),
-        other => return Err(WnrsError::usage(format!("unknown command `{other}`"))),
+        _ => ask(cmd, &opts, paged),
     }?;
     emit_observability(&opts)
 }
@@ -199,19 +186,6 @@ fn parse_point(key: &str, s: &str) -> Result<Point, WnrsError> {
     Ok(Point::new(coords))
 }
 
-/// As [`parse_point`], for a point that must have the dataset's `dim`
-/// dimensions.
-fn parse_point_dim(key: &str, s: &str, dim: usize) -> Result<Point, WnrsError> {
-    let p = parse_point(key, s)?;
-    if p.dim() != dim {
-        return Err(WnrsError::usage(format!(
-            "--{key} has {} dimension(s), the dataset has {dim}",
-            p.dim()
-        )));
-    }
-    Ok(p)
-}
-
 /// Parses the `--approx-k` sample size, which must be at least 1.
 fn parse_approx_k(s: &str) -> Result<usize, WnrsError> {
     match s.parse() {
@@ -234,7 +208,6 @@ fn load_engine(opts: &HashMap<String, String>) -> Result<WhyNotEngine, WnrsError
         }
         WhyNotEngine::try_new(points)?
     };
-    let engine = engine.with_parallelism(parallelism_opt(opts)?);
     match opts.get("cache").map(String::as_str) {
         Some("on") => Ok(engine.with_cache()),
         Some("off") | None => Ok(engine),
@@ -270,16 +243,6 @@ fn paged_mode(opts: &HashMap<String, String>) -> Result<bool, WnrsError> {
         Some("off") | None => Ok(false),
         Some(other) => Err(WnrsError::usage(format!(
             "bad --paged `{other}` (expected on|off)"
-        ))),
-    }
-}
-
-fn lazy_mode(opts: &HashMap<String, String>) -> Result<bool, WnrsError> {
-    match opts.get("lazy").map(String::as_str) {
-        Some("on") => Ok(true),
-        Some("off") | None => Ok(false),
-        Some(other) => Err(WnrsError::usage(format!(
-            "bad --lazy `{other}` (expected on|off)"
         ))),
     }
 }
@@ -323,114 +286,157 @@ fn load_paged_engine(
     ))
 }
 
-/// The why-not customer in paged mode: explicit coordinates (the engine
-/// holds no point arena to index into), plus an optional `--whynot` id
-/// for the monochromatic own-tuple exclusion.
-fn paged_whynot(
-    opts: &HashMap<String, String>,
-    dim: usize,
-) -> Result<(Point, Option<ItemId>), WnrsError> {
-    let c = parse_point_dim(
-        "whynot-point",
-        opts.get("whynot-point")
-            .ok_or_else(|| WnrsError::usage("--paged on requires --whynot-point <x,y,...>"))?,
-        dim,
-    )?;
-    let exclude = opts
-        .get("whynot")
-        .map(|s| s.parse::<u32>())
-        .transpose()
-        .map_err(|e| format!("bad --whynot: {e}"))?
-        .map(ItemId);
-    Ok((c, exclude))
+/// The question a query command (or `client --op`) asks, read from its
+/// flags: `--query`, the why-not customer (`--whynot <id>`,
+/// `--whynot-point <x,y,...>`, or both for a point whose own tuple is
+/// excluded) and `--approx-k`.
+fn parse_question(op: &str, opts: &HashMap<String, String>) -> Result<Question, WnrsError> {
+    let q = || parse_point("query", require(opts, "query")?);
+    let customer = || -> Result<Customer, WnrsError> {
+        let point = opts.get("whynot-point");
+        let point = point.map(|p| parse_point("whynot-point", p)).transpose()?;
+        let id = opts.get("whynot").map(|_| whynot(opts)).transpose()?;
+        match (point, id) {
+            (Some(p), Some(id)) => Ok(Customer::PointExcluding(p, id)),
+            (Some(p), None) => Ok(Customer::External(p)),
+            (None, Some(id)) => Ok(Customer::Id(id)),
+            (None, None) => Err(WnrsError::usage(format!(
+                "{op} needs --whynot <id> or --whynot-point <x,y,...>"
+            ))),
+        }
+    };
+    let approx_k = || opts.get("approx-k").map(|k| parse_approx_k(k)).transpose();
+    Ok(match op {
+        "rsl" => Question::Rsl { q: q()? },
+        "explain" => Question::Explain {
+            customer: customer()?,
+            q: q()?,
+        },
+        "mwp" => Question::Mwp {
+            customer: customer()?,
+            q: q()?,
+        },
+        "mqp" => Question::Mqp {
+            customer: customer()?,
+            q: q()?,
+        },
+        "safe-region" => Question::SafeRegion {
+            q: q()?,
+            approx_k: approx_k()?,
+        },
+        "mwq" => Question::Mwq {
+            customer: customer()?,
+            q: q()?,
+            approx_k: approx_k()?,
+        },
+        other => return Err(WnrsError::usage(format!("unknown command `{other}`"))),
+    })
 }
 
-/// Query commands routed end-to-end through the page-resident engine.
-fn run_paged(cmd: &str, opts: &HashMap<String, String>) -> Result<(), WnrsError> {
+/// `--whynot <id>`.
+fn whynot(opts: &HashMap<String, String>) -> Result<ItemId, WnrsError> {
+    let id = require(opts, "whynot")?.parse();
+    Ok(ItemId(id.map_err(|e| format!("bad --whynot: {e}"))?))
+}
+
+/// A query command: one question from the flags, answered by the
+/// in-memory engine or, with `--paged on`, the page-resident one.
+fn ask(cmd: &str, opts: &HashMap<String, String>, paged: bool) -> Result<(), WnrsError> {
+    let question = parse_question(cmd, opts)?;
+    if !paged {
+        let engine = load_engine(opts)?.with_parallelism(parallelism_opt(opts)?);
+        let reply = engine.answer(&question)?;
+        let id_point = match question.customer() {
+            Some(Customer::Id(id)) => Some(engine.point(*id)),
+            _ => None,
+        };
+        print_reply(&question, &reply, id_point);
+        return Ok(());
+    }
     let engine = load_paged_engine(opts)?;
-    let dim = engine.tree().dim();
-    let q = parse_point_dim("query", require(opts, "query")?, dim)?;
-    let fail = |e: wnrs_rtree::persist::PersistError| format!("page read failed: {e}");
-    match cmd {
-        "rsl" => {
-            let rsl = engine.reverse_skyline(&q).map_err(fail)?;
+    let reply = engine.answer(&question)?;
+    print_reply(&question, &reply, None);
+    let pool = engine.tree().pool();
+    println!(
+        "[paged: {} logical page read(s), {} resident of {} budget]",
+        pool.stats().logical_reads(),
+        pool.resident(),
+        pool.capacity()
+    );
+    Ok(())
+}
+
+/// Prints `reply` to `question`. A customer named by id is printed as
+/// `#id` (with `id_point`, its point in the arena), one named by point
+/// by its coordinates.
+fn print_reply(question: &Question, reply: &Reply, id_point: Option<&Point>) {
+    let q = question.query();
+    let (id, c) = match question.customer() {
+        Some(Customer::Id(id)) => (Some(id.0), id_point),
+        Some(Customer::External(c) | Customer::PointExcluding(c, _)) => (None, Some(c)),
+        None => (None, None),
+    };
+    let c = c.map(ToString::to_string).unwrap_or_default();
+    match reply {
+        Reply::Rsl(rsl) => {
             println!("RSL({q}) has {} members:", rsl.len());
-            for (id, p) in &rsl {
-                println!("  #{:<6} {p}", id.0);
-            }
+            print_items(rsl);
         }
-        "explain" => {
-            let (c, exclude) = paged_whynot(opts, dim)?;
-            let ex = engine.explain(&c, exclude, &q).map_err(fail)?;
-            if ex.is_member() {
-                println!("customer at {c} is already in RSL({q})");
-            } else {
-                println!(
-                    "customer at {c} is not in RSL({q}); it prefers {} product(s):",
-                    ex.culprits.len()
-                );
-                for (pid, p) in &ex.culprits {
-                    println!("  #{:<6} {p}", pid.0);
+        Reply::Explain(ex) if ex.is_member() => match id {
+            Some(id) => println!("customer #{id} is already in RSL({q})"),
+            None => println!("customer at {c} is already in RSL({q})"),
+        },
+        Reply::Explain(ex) => {
+            let n = ex.culprits.len();
+            match id {
+                Some(id) => {
+                    println!("customer #{id} at {c} is not in RSL({q}); it prefers {n} product(s):")
                 }
+                None => println!("customer at {c} is not in RSL({q}); it prefers {n} product(s):"),
             }
+            print_items(&ex.culprits);
         }
-        "mwp" => {
-            let (c, exclude) = paged_whynot(opts, dim)?;
-            let ans = engine.mwp(&c, exclude, &q).map_err(fail)?;
-            println!("MWP: move the customer from {c} to one of:");
-            for cand in &ans.candidates {
-                println!(
-                    "  {:<28} cost {:.9}{}",
-                    cand.point.to_string(),
-                    cand.cost,
-                    verified_tag(cand.verified)
-                );
+        Reply::Mwp(ans) => {
+            match id {
+                Some(id) => println!("MWP: move customer #{id} from {c} to one of:"),
+                None => println!("MWP: move the customer from {c} to one of:"),
             }
+            print_candidates(&ans.candidates);
         }
-        "mqp" => {
-            let (c, exclude) = paged_whynot(opts, dim)?;
-            let ans = engine.mqp(&c, exclude, &q).map_err(fail)?;
+        Reply::Mqp(ans) => {
             println!("MQP: move the query point {q} to one of:");
-            for cand in &ans.candidates {
+            print_candidates(&ans.candidates);
+            if id.is_some() {
                 println!(
-                    "  {:<28} cost {:.9}{}",
-                    cand.point.to_string(),
-                    cand.cost,
-                    verified_tag(cand.verified)
+                    "(note: MQP may lose existing reverse-skyline customers; use mwq to keep them)"
                 );
             }
         }
-        "safe-region" => {
-            let rsl = engine.reverse_skyline(&q).map_err(fail)?;
-            let sr = engine.safe_region_for(&q, &rsl).map_err(fail)?;
+        Reply::SafeRegion { members, region } => {
             println!(
-                "SR({q}) over {} reverse-skyline member(s): {} rectangle(s), area {:.6}",
-                rsl.len(),
-                sr.len(),
-                sr.area()
+                "SR({q}) over {members} reverse-skyline member(s): {} rectangle(s), area {:.6}",
+                region.len(),
+                region.area()
             );
-            for b in sr.boxes() {
+            for b in region.boxes() {
                 println!("  {} -> {}", b.lo(), b.hi());
             }
         }
-        "mwq" => {
-            if opts.contains_key("approx-k") {
-                return Err(WnrsError::usage(
-                    "--approx-k is not supported with --paged on (the paged pipeline uses the exact safe region)",
-                ));
+        Reply::Mwq { members, answer } => {
+            match id {
+                Some(id) => println!("MWQ for customer #{id} ({members} existing members kept):"),
+                None => println!("MWQ for the customer at {c} ({members} existing members kept):"),
             }
-            let (c, exclude) = paged_whynot(opts, dim)?;
-            let rsl = engine.reverse_skyline(&q).map_err(fail)?;
-            let sr = engine.safe_region_for(&q, &rsl).map_err(fail)?;
-            let ans = engine.mwq(&c, exclude, &q, &sr).map_err(fail)?;
-            println!("MWQ for the customer at {c} ({} existing members kept):", rsl.len());
-            match ans.case {
+            match answer.case {
                 wnrs_core::MwqCase::Overlap => {
-                    println!("  case C1: move the query point to {} (cost 0)", ans.q_star);
+                    println!(
+                        "  case C1: move the query point to {} (cost 0)",
+                        answer.q_star
+                    );
                 }
                 wnrs_core::MwqCase::Disjoint => {
-                    println!("  case C2: move the query point to {}", ans.q_star);
-                    if let Some(cand) = &ans.c_star {
+                    println!("  case C2: move the query point to {}", answer.q_star);
+                    if let Some(cand) = &answer.c_star {
                         println!(
                             "           and the customer to {} (cost {:.9}{})",
                             cand.point,
@@ -441,20 +447,26 @@ fn run_paged(cmd: &str, opts: &HashMap<String, String>) -> Result<(), WnrsError>
                 }
             }
         }
-        other => {
-            return Err(WnrsError::usage(format!(
-                "--paged on does not apply to `{other}` (paged commands: rsl, explain, mwp, mqp, safe-region, mwq)"
-            )))
-        }
     }
-    let stats = engine.tree().pool().stats();
-    println!(
-        "[paged: {} logical page read(s), {} resident of {} budget]",
-        stats.logical_reads(),
-        engine.tree().pool().resident(),
-        engine.tree().pool().capacity()
-    );
-    Ok(())
+}
+
+/// `  #id     point` lines.
+fn print_items(items: &[(ItemId, Point)]) {
+    for (id, p) in items {
+        println!("  #{:<6} {p}", id.0);
+    }
+}
+
+/// `  point   cost c` lines.
+fn print_candidates(cands: &[wnrs_core::Candidate]) {
+    for c in cands {
+        println!(
+            "  {:<28} cost {:.9}{}",
+            c.point.to_string(),
+            c.cost,
+            verified_tag(c.verified)
+        );
+    }
 }
 
 fn parse_usize_opt(
@@ -474,33 +486,16 @@ fn parse_usize_opt(
 /// so a serving session's counters, gauges and spans land in one
 /// report.
 fn serve(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
-    use wnrs_server::server::{EngineHost, Server, ServerConfig};
+    use wnrs_server::server::{Server, ServerConfig};
 
     let addr = opts.get("addr").map_or("127.0.0.1:7878", String::as_str);
     let workers = parse_usize_opt(opts, "threads", 2)?;
     let queue_depth = parse_usize_opt(opts, "queue-depth", 128)?;
     let max_conns = parse_usize_opt(opts, "max-conns", 1024)?;
     let deadline_ms = parse_usize_opt(opts, "deadline-ms", 10_000)?;
-    let lazy_k = if lazy_mode(opts)? {
-        Some(parse_approx_k(require(opts, "approx-k")?)?)
-    } else {
-        if opts.contains_key("approx-k") {
-            return Err(WnrsError::usage(
-                "serve supports --approx-k only together with --lazy on",
-            ));
-        }
-        None
-    };
-    let host = if paged_mode(opts)? {
-        if lazy_k.is_some() {
-            return Err(WnrsError::usage(
-                "--lazy on applies to the in-memory engine, not --paged on",
-            ));
-        }
-        EngineHost::paged(load_paged_engine(opts)?)
-    } else {
-        EngineHost::memory(load_engine(opts)?)
-    };
+    let approx_k = opts.get("approx-k").map(|k| parse_approx_k(k));
+    let approx_k = approx_k.transpose()?;
+    let host = serve_host(opts)?;
     let mode = host.mode_name();
     let config = ServerConfig::default()
         .with_addr(addr)
@@ -508,7 +503,7 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
         .with_queue_depth(queue_depth)
         .with_max_conns(max_conns)
         .with_deadline(std::time::Duration::from_millis(deadline_ms as u64))
-        .with_lazy_k(lazy_k);
+        .with_approx_k(approx_k);
     let server =
         Server::start(config, host).map_err(|e| format!("starting server on {addr}: {e}"))?;
     println!(
@@ -525,65 +520,37 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     Ok(())
 }
 
+/// The engine `wnrs serve` hosts: the page-resident one with `--paged
+/// on`, else the in-memory one. Either runs each question sequentially:
+/// `--threads` sizes the worker pool, not the engine.
+fn serve_host(opts: &HashMap<String, String>) -> Result<EngineHost, WnrsError> {
+    if !paged_mode(opts)? {
+        return Ok(EngineHost::memory(load_engine(opts)?));
+    }
+    if opts.contains_key("approx-k") {
+        return Err(WnrsError::usage(
+            "--approx-k applies to the in-memory engine, not --paged on",
+        ));
+    }
+    Ok(EngineHost::paged(load_paged_engine(opts)?))
+}
+
 /// `wnrs client`: one request against a running server, answer printed
 /// in the same shapes the offline commands use.
 fn client_cmd(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     use wnrs_server::client::Client;
-    use wnrs_server::proto::{Customer, Request, ResponseBody};
+    use wnrs_server::proto::{Request, ResponseBody};
 
     let addr = require(opts, "addr")?;
     let op = require(opts, "op")?;
-    let query = || parse_point("query", require(opts, "query")?);
-    let whynot_id = || -> Result<ItemId, WnrsError> {
-        Ok(ItemId(
-            require(opts, "whynot")?
-                .parse()
-                .map_err(|e| format!("bad --whynot: {e}"))?,
-        ))
-    };
-    let customer = || -> Result<Customer, WnrsError> {
-        match (opts.get("whynot-point"), opts.contains_key("whynot")) {
-            (Some(p), true) => Ok(Customer::PointExcluding(
-                parse_point("whynot-point", p)?,
-                whynot_id()?,
-            )),
-            (Some(p), false) => Ok(Customer::External(parse_point("whynot-point", p)?)),
-            (None, true) => Ok(Customer::Id(whynot_id()?)),
-            (None, false) => Err(WnrsError::usage(format!(
-                "--op {op} needs --whynot <id> (in-memory) or --whynot-point <x,y,...> (paged)"
-            ))),
-        }
-    };
     let req = match op {
         "ping" => Request::Ping,
         "shutdown" => Request::Shutdown,
-        "rsl" => Request::Rsl { q: query()? },
-        "safe-region" => Request::SafeRegion { q: query()? },
-        "explain" => Request::Explain {
-            customer: customer()?,
-            q: query()?,
-        },
-        "mwp" => Request::Mwp {
-            customer: customer()?,
-            q: query()?,
-        },
-        "mqp" => Request::Mqp {
-            customer: customer()?,
-            q: query()?,
-        },
-        "mwq" => Request::Mwq {
-            customer: customer()?,
-            q: query()?,
-        },
         "insert" => Request::Insert {
             point: parse_point("point", require(opts, "point")?)?,
         },
-        "delete" => Request::Delete { id: whynot_id()? },
-        other => {
-            return Err(WnrsError::usage(format!(
-                "unknown --op `{other}` (expected ping|rsl|explain|mwp|mqp|safe-region|mwq|insert|delete|shutdown)"
-            )))
-        }
+        "delete" => Request::Delete { id: whynot(opts)? },
+        _ => Request::from(parse_question(op, opts)?),
     };
     let mut client = Client::connect(addr).map_err(|e| format!("connecting to {addr}: {e}"))?;
     let resp = client
@@ -609,20 +576,11 @@ fn print_answer(answer: &wnrs_server::proto::Answer) {
         Answer::Empty => println!("ok"),
         Answer::Items(items) => {
             println!("{} item(s):", items.len());
-            for (id, p) in items {
-                println!("  #{:<6} {p}", id.0);
-            }
+            print_items(items);
         }
         Answer::Candidates(cands) => {
             println!("{} candidate(s):", cands.len());
-            for c in cands {
-                println!(
-                    "  {:<28} cost {:.9}{}",
-                    c.point.to_string(),
-                    c.cost,
-                    verified_tag(c.verified)
-                );
-            }
+            print_candidates(cands);
         }
         Answer::Region(boxes) => {
             println!("{} rectangle(s):", boxes.len());
@@ -702,16 +660,11 @@ fn stats(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 }
 
 fn whynot_id(opts: &HashMap<String, String>, engine: &WhyNotEngine) -> Result<ItemId, WnrsError> {
-    let idx: usize = require(opts, "whynot")?
-        .parse()
-        .map_err(|e| format!("bad --whynot: {e}"))?;
-    if idx >= engine.len() {
-        return Err(WnrsError::usage(format!(
-            "--whynot {idx} out of range (dataset has {} points)",
-            engine.len()
-        )));
+    let (id, len) = (whynot(opts)?, engine.len());
+    if id.0 as usize >= len {
+        return Err(wnrs_core::QuestionError::UnknownCustomer { id, len }.into());
     }
-    Ok(ItemId(idx as u32))
+    Ok(id)
 }
 
 fn generate(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
@@ -743,141 +696,6 @@ fn generate(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     Ok(())
 }
 
-fn rsl(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
-    let engine = load_engine(opts)?;
-    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
-    let rsl = engine.reverse_skyline(&q);
-    println!("RSL({q}) has {} members:", rsl.len());
-    for (id, p) in &rsl {
-        println!("  #{:<6} {p}", id.0);
-    }
-    Ok(())
-}
-
-fn explain(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
-    let engine = load_engine(opts)?;
-    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
-    let id = whynot_id(opts, &engine)?;
-    let ex = engine.explain(id, &q);
-    if ex.is_member() {
-        println!("customer #{} is already in RSL({q})", id.0);
-    } else {
-        println!(
-            "customer #{} at {} is not in RSL({q}); it prefers {} product(s):",
-            id.0,
-            engine.point(id),
-            ex.culprits.len()
-        );
-        for (pid, p) in &ex.culprits {
-            println!("  #{:<6} {p}", pid.0);
-        }
-    }
-    Ok(())
-}
-
-fn mwp(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
-    let engine = load_engine(opts)?;
-    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
-    let id = whynot_id(opts, &engine)?;
-    let ans = engine.mwp(id, &q);
-    println!(
-        "MWP: move customer #{} from {} to one of:",
-        id.0,
-        engine.point(id)
-    );
-    for c in &ans.candidates {
-        println!(
-            "  {:<28} cost {:.9}{}",
-            c.point.to_string(),
-            c.cost,
-            verified_tag(c.verified)
-        );
-    }
-    Ok(())
-}
-
-fn mqp(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
-    let engine = load_engine(opts)?;
-    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
-    let id = whynot_id(opts, &engine)?;
-    let ans = engine.mqp(id, &q);
-    println!("MQP: move the query point {q} to one of:");
-    for c in &ans.candidates {
-        println!(
-            "  {:<28} cost {:.9}{}",
-            c.point.to_string(),
-            c.cost,
-            verified_tag(c.verified)
-        );
-    }
-    println!("(note: MQP may lose existing reverse-skyline customers; use mwq to keep them)");
-    Ok(())
-}
-
-fn mwq(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
-    let engine = load_engine(opts)?;
-    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
-    let id = whynot_id(opts, &engine)?;
-    let rsl = engine.reverse_skyline(&q);
-    let sr = match opts.get("approx-k") {
-        Some(k) => {
-            let k = parse_approx_k(k)?;
-            if lazy_mode(opts)? {
-                engine.approx_safe_region_lazy(&q, &rsl, k)
-            } else {
-                let store = engine.build_approx_store(k);
-                engine.approx_safe_region_for(&q, &rsl, &store)
-            }
-        }
-        None => {
-            if lazy_mode(opts)? {
-                return Err(WnrsError::usage("--lazy on requires --approx-k <k>"));
-            }
-            engine.safe_region_for(&q, &rsl)
-        }
-    };
-    let ans = engine.mwq(id, &q, &sr);
-    println!(
-        "MWQ for customer #{} ({} existing members kept):",
-        id.0,
-        rsl.len()
-    );
-    match ans.case {
-        wnrs_core::MwqCase::Overlap => {
-            println!("  case C1: move the query point to {} (cost 0)", ans.q_star);
-        }
-        wnrs_core::MwqCase::Disjoint => {
-            println!("  case C2: move the query point to {}", ans.q_star);
-            if let Some(c) = &ans.c_star {
-                println!(
-                    "           and the customer to {} (cost {:.9}{})",
-                    c.point,
-                    c.cost,
-                    verified_tag(c.verified)
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
-fn safe_region(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
-    let engine = load_engine(opts)?;
-    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
-    let rsl = engine.reverse_skyline(&q);
-    let sr = engine.safe_region_for(&q, &rsl);
-    println!(
-        "SR({q}) over {} reverse-skyline member(s): {} rectangle(s), area {:.6}",
-        rsl.len(),
-        sr.len(),
-        sr.area()
-    );
-    for b in sr.boxes() {
-        println!("  {} -> {}", b.lo(), b.hi());
-    }
-    Ok(())
-}
-
 /// Runs all four why-not algorithms (explain, MWP, MQP, MWQ — the
 /// latter against the exact, the eager `k`-sampled and the lazily
 /// materialised approximate safe regions) against one query/customer
@@ -886,8 +704,9 @@ fn safe_region(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
 /// engine construction: the report covers query phases only, not the
 /// index build.
 fn profile(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
-    let engine = load_engine(opts)?;
-    let q = parse_point_dim("query", require(opts, "query")?, engine.dim())?;
+    let engine = load_engine(opts)?.with_parallelism(parallelism_opt(opts)?);
+    let q = parse_point("query", require(opts, "query")?)?;
+    Question::Rsl { q: q.clone() }.check(engine.dim())?;
     let id = whynot_id(opts, &engine)?;
     let k = opts
         .get("approx-k")
@@ -962,5 +781,48 @@ fn verified_tag(v: bool) -> &'static str {
         ""
     } else {
         "  [unverified]"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn serve_threads_size_the_pool_not_the_engine() {
+        let dir = std::env::temp_dir().join(format!("wnrs_serve_host_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create the fixture directory");
+        let data = dir.join("points.csv");
+        std::fs::write(&data, "1,2\n3,1\n2,3\n").expect("write the dataset");
+        let data = data.to_string_lossy().into_owned();
+        for threads in ["1", "8"] {
+            let opts = flags(&[("data", &data), ("threads", threads), ("cache", "on")]);
+            match serve_host(&opts).expect("in-memory host") {
+                EngineHost::Memory(m) => {
+                    let engine = m.with_engine(|e| (e.parallelism().clone(), e.cache().is_some()));
+                    assert_eq!(
+                        engine,
+                        (Parallelism::sequential(), true),
+                        "--threads {threads}"
+                    );
+                }
+                EngineHost::Paged(_) => panic!("in-memory flags hosted the paged engine"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        // Refused before any index is opened.
+        let opts = flags(&[("paged", "on"), ("index", "missing.idx"), ("approx-k", "8")]);
+        let refusal = serve_host(&opts).err().map(|e| e.to_string());
+        assert!(
+            refusal.as_deref().is_some_and(|e| e.contains("--approx-k")),
+            "{refusal:?}"
+        );
     }
 }

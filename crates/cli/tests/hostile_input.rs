@@ -1,7 +1,8 @@
 //! Hostile command-line input ends in a usage error — exit status 1 and
 //! an `error:` line on stderr — never in a panic: non-finite
 //! coordinates, points of the wrong dimensionality (in memory and
-//! `--paged on`), a zero sample size and a non-finite CSV row.
+//! `--paged on`), a zero sample size (also for `serve`) and a
+//! non-finite CSV row.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -140,6 +141,16 @@ fn zero_sample_size_is_a_usage_error() {
     assert_usage_error(&[&["mwq"], &q[..], &["--approx-k", "0"]].concat());
     assert_usage_error(&[&["mwq"], &q[..], &["--approx-k", "0", "--lazy", "on"]].concat());
     assert_usage_error(&[&["profile"], &q[..], &["--approx-k", "0"]].concat());
+    // Rejected before the server binds.
+    assert_usage_error(&[
+        "serve",
+        "--data",
+        &f.data,
+        "--addr",
+        "127.0.0.1:0",
+        "--approx-k",
+        "0",
+    ]);
 }
 
 #[test]

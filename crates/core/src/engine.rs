@@ -1,7 +1,6 @@
 //! The [`WhyNotEngine`] façade: dataset + index + cost model + all four
 //! why-not answering techniques behind one API.
 
-use crate::answer::Candidate;
 use crate::cache::{
     CacheConfig, CacheStats, DslSampleEntry, EngineCache, InvalidationMode, SharedItems,
     WriteEvent, WriteKind, WriteProbes,
@@ -11,6 +10,7 @@ use crate::explain::{explain, Explanation};
 use crate::mqp::{modify_query_point, modify_query_point_with_lambda, MqpAnswer};
 use crate::mwp::{modify_why_not_point, modify_why_not_point_with_lambda, MwpAnswer};
 use crate::mwq::{modify_both, modify_both_parts, MwqAnswer};
+use crate::question::{Customer, Question, QuestionError, Reply};
 use crate::safe_region::{
     anti_ddr_from_dsl, approx_anti_ddr_of_sample, approx_safe_region_with, entry_fingerprint,
     exact_safe_region_by, exact_safe_region_with, ApproxDslStore,
@@ -36,7 +36,8 @@ pub const DEFAULT_EPS: f64 = 1e-9;
 /// A complete why-not reverse-skyline query engine over a monochromatic
 /// dataset (every point serves as product and customer, as in the
 /// paper's experiments). Bichromatic use is available through the
-/// `*_external` methods, which take customers outside the dataset.
+/// `*_external` methods and [`WhyNotEngine::answer`], which take
+/// customers outside the dataset.
 ///
 /// # Examples
 ///
@@ -206,14 +207,6 @@ impl WhyNotEngine {
     pub fn with_cost_model(mut self, cost: CostModel) -> Self {
         assert_eq!(cost.dim(), self.dim(), "cost model dimensionality mismatch");
         self.cost = cost;
-        self
-    }
-
-    /// Replaces the verification nudge.
-    #[must_use]
-    pub fn with_eps(mut self, eps: f64) -> Self {
-        assert!(eps >= 0.0, "eps must be non-negative");
-        self.eps = eps;
         self
     }
 
@@ -879,20 +872,6 @@ impl WhyNotEngine {
         ))
     }
 
-    /// Algorithm 4 (MWQ) for an external customer.
-    pub fn mwq_external(&self, c_t: &Point, q: &Point, sr: &Region) -> MwqAnswer {
-        into_ok(modify_both(
-            &self.tree,
-            sr,
-            c_t,
-            q,
-            None,
-            &self.cost,
-            &self.universe_for(q),
-            self.eps,
-        ))
-    }
-
     /// End-to-end convenience: compute the safe region and run MWQ.
     /// With the cache enabled the full answer is memoised per
     /// `(q, customer)` pair — safe here (unlike plain [`WhyNotEngine::mwq`])
@@ -918,9 +897,69 @@ impl WhyNotEngine {
         (sr, ans)
     }
 
-    /// The cheapest MWP candidate for `id` (helper for evaluations).
-    pub fn mwp_best(&self, id: ItemId, q: &Point) -> Candidate {
-        self.mwp(id, q).best().clone()
+    /// Answers `question`: the one table mapping a question to this
+    /// engine's techniques, after [`Question::check`] and the id check.
+    /// A customer named by id goes through the cached id methods, one
+    /// named by point through the `NodeSource`-generic functions the
+    /// paged engine calls. Approximate safe regions come from
+    /// [`WhyNotEngine::approx_safe_region_lazy`].
+    ///
+    /// # Errors
+    ///
+    /// [`QuestionError`] for a false premise.
+    pub fn answer(&self, question: &Question) -> Result<Reply, QuestionError> {
+        question.check(self.dim())?;
+        if let Some(&Customer::Id(id)) = question.customer() {
+            if id.0 as usize >= self.len() {
+                let len = self.len();
+                return Err(QuestionError::UnknownCustomer { id, len });
+            }
+        }
+        let (tree, cost, eps) = (&self.tree, &self.cost, self.eps);
+        let safe_region = |q: &Point, rsl: &[(ItemId, Point)]| match question.approx_k() {
+            Some(k) => self.approx_safe_region_lazy(q, rsl, k),
+            None => self.safe_region_for(q, rsl),
+        };
+        Ok(match question {
+            Question::Rsl { q } => Reply::Rsl(self.reverse_skyline(q)),
+            Question::Explain { customer, q } => Reply::Explain(match customer {
+                Customer::Id(id) => self.explain(*id, q),
+                Customer::External(c) | Customer::PointExcluding(c, _) => {
+                    into_ok(explain(tree, c, q, customer.exclusion()))
+                }
+            }),
+            Question::Mwp { customer, q } => Reply::Mwp(match customer {
+                Customer::Id(id) => self.mwp(*id, q),
+                Customer::External(c) | Customer::PointExcluding(c, _) => into_ok(
+                    modify_why_not_point(tree, c, q, customer.exclusion(), cost, eps),
+                ),
+            }),
+            Question::Mqp { customer, q } => Reply::Mqp(match customer {
+                Customer::Id(id) => self.mqp(*id, q),
+                Customer::External(c) | Customer::PointExcluding(c, _) => into_ok(
+                    modify_query_point(tree, c, q, customer.exclusion(), cost, eps),
+                ),
+            }),
+            Question::SafeRegion { q, .. } => {
+                let rsl = self.reverse_skyline(q);
+                let (members, region) = (rsl.len(), safe_region(q, &rsl));
+                Reply::SafeRegion { members, region }
+            }
+            Question::Mwq { customer, q, .. } => {
+                let rsl = self.reverse_skyline(q);
+                let sr = safe_region(q, &rsl);
+                let answer = match customer {
+                    Customer::Id(id) => self.mwq(*id, q, &sr),
+                    Customer::External(c) | Customer::PointExcluding(c, _) => {
+                        let universe = self.universe_for(q);
+                        let exclude = customer.exclusion();
+                        into_ok(modify_both(tree, &sr, c, q, exclude, cost, &universe, eps))
+                    }
+                };
+                let members = rsl.len();
+                Reply::Mwq { members, answer }
+            }
+        })
     }
 
     // ------------------------------------------------------------------

@@ -9,6 +9,7 @@
 //! upward, with `From` conversions from every layer below.
 
 use crate::approx_store_persist::StorePersistError;
+use crate::question::QuestionError;
 use std::fmt;
 use std::io;
 use wnrs_storage::PagerError;
@@ -27,16 +28,6 @@ pub enum EngineError {
         /// First index whose id does not equal its rank.
         first_gap: usize,
     },
-    /// A cost model of one dimensionality was supplied for a dataset of
-    /// another.
-    CostModelDimMismatch {
-        /// Dimensionality of the dataset.
-        expected: usize,
-        /// Dimensionality of the supplied cost model.
-        got: usize,
-    },
-    /// The verification nudge `eps` must be non-negative.
-    NegativeEps(f64),
 }
 
 impl fmt::Display for EngineError {
@@ -50,15 +41,6 @@ impl fmt::Display for EngineError {
                     f,
                     "engine requires dense item ids 0..{items}; first gap at rank {first_gap}"
                 )
-            }
-            EngineError::CostModelDimMismatch { expected, got } => {
-                write!(
-                    f,
-                    "cost model dimensionality mismatch: dataset is {expected}-d, model is {got}-d"
-                )
-            }
-            EngineError::NegativeEps(eps) => {
-                write!(f, "eps must be non-negative, got {eps}")
             }
         }
     }
@@ -82,6 +64,8 @@ pub enum WnrsError {
     Pager(PagerError),
     /// Approximate-DSL store (de)serialisation failure.
     StorePersist(StorePersistError),
+    /// A question with a false premise, or one the engine cannot answer.
+    Question(QuestionError),
 }
 
 impl WnrsError {
@@ -101,6 +85,7 @@ impl fmt::Display for WnrsError {
             WnrsError::Engine(e) => write!(f, "{e}"),
             WnrsError::Pager(e) => write!(f, "storage error: {e}"),
             WnrsError::StorePersist(e) => write!(f, "store persistence error: {e}"),
+            WnrsError::Question(e) => write!(f, "{e}"),
         }
     }
 }
@@ -113,6 +98,7 @@ impl std::error::Error for WnrsError {
             WnrsError::Engine(e) => Some(e),
             WnrsError::Pager(e) => Some(e),
             WnrsError::StorePersist(e) => Some(e),
+            WnrsError::Question(e) => Some(e),
         }
     }
 }
@@ -141,6 +127,12 @@ impl From<StorePersistError> for WnrsError {
     }
 }
 
+impl From<QuestionError> for WnrsError {
+    fn from(e: QuestionError) -> Self {
+        WnrsError::Question(e)
+    }
+}
+
 impl From<String> for WnrsError {
     fn from(msg: String) -> Self {
         WnrsError::Usage(msg)
@@ -153,14 +145,14 @@ mod tests {
 
     #[test]
     fn display_formats_are_descriptive() {
-        let e = EngineError::CostModelDimMismatch {
-            expected: 2,
-            got: 3,
+        let e = EngineError::SparseItemIds {
+            items: 8,
+            first_gap: 3,
         };
-        assert!(e.to_string().contains("2-d"));
-        assert!(e.to_string().contains("3-d"));
+        assert!(e.to_string().contains("0..8"));
+        assert!(e.to_string().contains("rank 3"));
         let w: WnrsError = e.into();
-        assert!(w.to_string().contains("mismatch"));
+        assert!(w.to_string().contains("dense item ids"));
         assert!(std::error::Error::source(&w).is_some());
     }
 

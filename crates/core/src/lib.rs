@@ -20,7 +20,9 @@
 //!   Algorithm 1 against the best safe corner, minimising Eqn (11).
 //!
 //! [`engine::WhyNotEngine`] packages the dataset, index, cost model and
-//! all of the above behind one façade. Under repeated why-not traffic,
+//! all of the above behind one façade; [`question::Question`] asks any
+//! of them through one front door,
+//! [`engine::WhyNotEngine::answer`]. Under repeated why-not traffic,
 //! [`mod@cache`] adds an optional versioned cross-query reuse layer
 //! (memoised dynamic skylines, anti-DDRs, reverse skylines, safe
 //! regions and culprit windows) plus batch entry points
@@ -52,6 +54,7 @@ pub mod mqp;
 pub mod mwp;
 pub mod mwq;
 pub mod paged;
+pub mod question;
 pub mod safe_region;
 pub mod sync;
 pub mod verify;
@@ -71,6 +74,7 @@ pub use mwp::{
 };
 pub use mwq::{modify_both, modify_both_parts, MwqAnswer, MwqCase};
 pub use paged::PagedEngine;
+pub use question::{Customer, Question, QuestionError, Reply};
 pub use safe_region::{
     anti_ddr_from_dsl, approx_anti_ddr_of_sample, approx_safe_region, approx_safe_region_with,
     entry_fingerprint, exact_safe_region, exact_safe_region_with, ApproxDslStore,

@@ -29,6 +29,7 @@ use crate::explain::{explain, Explanation};
 use crate::mqp::{modify_query_point, MqpAnswer};
 use crate::mwp::{modify_why_not_point, MwpAnswer};
 use crate::mwq::{modify_both, MwqAnswer};
+use crate::question::{Customer, Question, QuestionError, Reply};
 use crate::safe_region::exact_safe_region_with;
 use wnrs_geometry::{CostModel, Parallelism, Point, Rect, Region};
 use wnrs_reverse_skyline::{is_reverse_skyline_member_with, reverse_skyline};
@@ -263,21 +264,58 @@ impl<P: Pager> PagedEngine<P> {
         )
     }
 
-    /// End-to-end convenience: reverse skyline, safe region, MWQ.
+    /// Answers `question`: the one table mapping a question to this
+    /// engine's techniques, in the same order as
+    /// [`crate::WhyNotEngine::answer`]. [`Question::check`] runs first.
+    /// The customer must be named by point (no arena resolves ids) and
+    /// the safe region is the exact one.
     ///
     /// # Errors
     ///
-    /// Returns an error when a page read or decode fails.
-    pub fn mwq_full(
-        &self,
-        c_t: &Point,
-        exclude: Option<ItemId>,
-        q: &Point,
-    ) -> Result<(Region, MwqAnswer), PersistError> {
-        let rsl = self.reverse_skyline(q)?;
-        let sr = self.safe_region_for(q, &rsl)?;
-        let ans = self.mwq(c_t, exclude, q, &sr)?;
-        Ok((sr, ans))
+    /// [`QuestionError`] for a false premise, a customer named by id,
+    /// an approximate region, or a failed page read.
+    pub fn answer(&self, question: &Question) -> Result<Reply, QuestionError> {
+        question.check(self.tree.dim())?;
+        if question.approx_k().is_some() {
+            return Err(QuestionError::Unsupported(
+                "the paged engine answers with the exact safe region only",
+            ));
+        }
+        let at = || match question.customer() {
+            Some(c @ (Customer::External(p) | Customer::PointExcluding(p, _))) => {
+                Ok((p, c.exclusion()))
+            }
+            _ => Err(QuestionError::Unsupported(
+                "the paged engine names customers by point (external or point-excluding)",
+            )),
+        };
+        Ok(match question {
+            Question::Rsl { q } => Reply::Rsl(self.reverse_skyline(q)?),
+            Question::Explain { q, .. } => {
+                let (c, exclude) = at()?;
+                Reply::Explain(self.explain(c, exclude, q)?)
+            }
+            Question::Mwp { q, .. } => {
+                let (c, exclude) = at()?;
+                Reply::Mwp(self.mwp(c, exclude, q)?)
+            }
+            Question::Mqp { q, .. } => {
+                let (c, exclude) = at()?;
+                Reply::Mqp(self.mqp(c, exclude, q)?)
+            }
+            Question::SafeRegion { q, .. } => {
+                let rsl = self.reverse_skyline(q)?;
+                let (members, region) = (rsl.len(), self.safe_region_for(q, &rsl)?);
+                Reply::SafeRegion { members, region }
+            }
+            Question::Mwq { q, .. } => {
+                let (c, exclude) = at()?;
+                let rsl = self.reverse_skyline(q)?;
+                let sr = self.safe_region_for(q, &rsl)?;
+                let (members, answer) = (rsl.len(), self.mwq(c, exclude, q, &sr)?);
+                Reply::Mwq { members, answer }
+            }
+        })
     }
 }
 
@@ -410,16 +448,24 @@ mod tests {
     }
 
     #[test]
-    fn mwq_full_matches_and_pool_stays_bounded() {
+    fn mwq_answer_matches_and_pool_stays_bounded() {
         let pts = pseudo_points(800, 5, 2);
         let mem = WhyNotEngine::try_new(pts.clone()).expect("mem engine");
         let paged = paged_engine_over(&pts, 8, true);
         let q = &pts[50];
         let id = ItemId(3);
-        let (sr_mem, ans_mem) = mem.mwq_full(id, q);
-        let (sr_pg, ans_pg) = paged.mwq_full(&pts[3], Some(id), q).expect("mwq_full");
-        assert_eq!(format!("{sr_mem:?}"), format!("{sr_pg:?}"));
-        assert_eq!(format!("{ans_mem:?}"), format!("{ans_pg:?}"));
+        let (_, answer) = mem.mwq_full(id, q);
+        let members = mem.reverse_skyline(q).len();
+        let question = Question::Mwq {
+            customer: Customer::PointExcluding(pts[3].clone(), id),
+            q: q.clone(),
+            approx_k: None,
+        };
+        let reply = paged.answer(&question).expect("mwq");
+        assert_eq!(
+            format!("{:?}", Reply::Mwq { members, answer }),
+            format!("{reply:?}")
+        );
         assert!(paged.tree().pool().resident() <= 8, "pool over budget");
         assert!(
             paged.tree().pool().stats().logical_reads() > 0,

@@ -1,254 +1,96 @@
 //! Request execution: one decoded [`Request`] in, one [`Answer`] or
 //! typed error out, against either engine mode.
 //!
-//! In-memory requests run inside a single `with_engine` /
-//! `with_engine_mut` closure, so each request observes one consistent
-//! engine state even while writers interleave (MWQ's reverse-skyline →
-//! safe-region → repair chain is atomic with respect to writes).
-//! Paged-mode writes are answered [`ErrorKind::Unsupported`] — the
-//! page-resident index is read-only by design (see `DESIGN.md` §3b).
+//! Writes and ping/shutdown are answered here. Every other request is
+//! a [`Question`], answered by the hosted engine's `answer` table (the
+//! only place a question meets a technique) and converted to its wire
+//! shape. In-memory questions run inside a single `with_engine`
+//! closure, so each request observes one consistent engine state even
+//! while writers interleave (MWQ's reverse-skyline → safe-region →
+//! repair chain is atomic with respect to writes). Paged-mode writes
+//! are answered [`ErrorKind::Unsupported`] — the page-resident index is
+//! read-only by design (see `DESIGN.md` §3b).
 
 use crate::host::EngineHost;
-use crate::proto::{Answer, Customer, ErrorKind, Request};
-use crate::server::ServeOptions;
-use wnrs_core::WhyNotEngine;
-use wnrs_geometry::Point;
-use wnrs_rtree::ItemId;
+use crate::proto::{Answer, ErrorKind, Request};
+use wnrs_core::{Question, QuestionError, Reply, WhyNotEngine};
 
 type HandleResult = Result<Answer, (ErrorKind, String)>;
 
-fn bad(msg: impl Into<String>) -> (ErrorKind, String) {
-    (ErrorKind::BadRequest, msg.into())
-}
-
-fn unsupported(msg: impl Into<String>) -> (ErrorKind, String) {
-    (ErrorKind::Unsupported, msg.into())
-}
-
-/// Executes `req` against the hosted engine. Never panics: every
-/// malformed or inapplicable request maps to a typed error response.
-pub(crate) fn handle(host: &EngineHost, opts: &ServeOptions, req: &Request) -> HandleResult {
-    match host {
-        EngineHost::Memory(m) => match req {
-            // Writes take the exclusive side of the lock and flow
-            // through the engine's surgical cache invalidation.
-            Request::Insert { point } => m.with_engine_mut(|e| mem_insert(e, point)),
-            Request::Delete { id } => m.with_engine_mut(|e| mem_delete(e, *id)),
-            _ => m.with_engine(|e| mem_query(e, opts, req)),
+/// Executes `req` against the hosted engine, safe regions approximated
+/// from `approx_k` samples when set. Never panics: every malformed or
+/// inapplicable request maps to a typed error response.
+pub(crate) fn handle(host: &EngineHost, approx_k: Option<usize>, req: Request) -> HandleResult {
+    let question = match req {
+        Request::Ping | Request::Shutdown => return Ok(Answer::Empty),
+        Request::Insert { point } => {
+            return write(host, |e| {
+                if point.dim() != e.dim() {
+                    let (got, dim) = (point.dim(), e.dim());
+                    let msg = format!("point has {got} dimension(s), dataset has {dim}");
+                    return Err((ErrorKind::BadRequest, msg));
+                }
+                Ok(Answer::Inserted(e.insert(point)))
+            })
+        }
+        Request::Delete { id } => {
+            return write(host, |e| {
+                if id.0 as usize >= e.len() {
+                    let (got, len) = (id.0, e.len());
+                    let msg = format!("customer id {got} out of range (dataset has {len} tuples)");
+                    return Err((ErrorKind::BadRequest, msg));
+                }
+                Ok(Answer::Deleted(e.delete(id)))
+            })
+        }
+        Request::Rsl { q } => Question::Rsl { q },
+        Request::Explain { customer, q } => Question::Explain { customer, q },
+        Request::Mwp { customer, q } => Question::Mwp { customer, q },
+        Request::Mqp { customer, q } => Question::Mqp { customer, q },
+        Request::SafeRegion { q } => Question::SafeRegion { q, approx_k },
+        Request::Mwq { customer, q } => Question::Mwq {
+            customer,
+            q,
+            approx_k,
         },
-        EngineHost::Paged(engine) => paged_request(engine, req),
-    }
-}
-
-fn check_dim(q: &Point, dim: usize) -> Result<(), (ErrorKind, String)> {
-    if q.dim() == dim {
-        Ok(())
-    } else {
-        Err(bad(format!(
-            "point has {} dimension(s), dataset has {dim}",
-            q.dim()
-        )))
-    }
-}
-
-fn resolve_id(e: &WhyNotEngine, id: ItemId) -> Result<ItemId, (ErrorKind, String)> {
-    if (id.0 as usize) < e.len() {
-        Ok(id)
-    } else {
-        Err(bad(format!(
-            "customer id {} out of range (dataset has {} tuples)",
-            id.0,
-            e.len()
-        )))
-    }
-}
-
-fn mem_insert(e: &mut WhyNotEngine, point: &Point) -> HandleResult {
-    check_dim(point, e.dim())?;
-    Ok(Answer::Inserted(e.insert(point.clone())))
-}
-
-fn mem_delete(e: &mut WhyNotEngine, id: ItemId) -> HandleResult {
-    resolve_id(e, id)?;
-    Ok(Answer::Deleted(e.delete(id)))
-}
-
-/// The safe region under the serving options: exact by default, the
-/// lazily-materialised approximation when `--lazy` is on.
-fn mem_safe_region(
-    e: &WhyNotEngine,
-    opts: &ServeOptions,
-    q: &Point,
-    rsl: &[(ItemId, Point)],
-) -> wnrs_geometry::Region {
-    match opts.lazy_k {
-        Some(k) => e.approx_safe_region_lazy(q, rsl, k),
-        None => e.safe_region_for(q, rsl),
-    }
-}
-
-fn mem_query(e: &WhyNotEngine, opts: &ServeOptions, req: &Request) -> HandleResult {
-    match req {
-        Request::Ping | Request::Shutdown => Ok(Answer::Empty),
-        Request::Rsl { q } => {
-            check_dim(q, e.dim())?;
-            Ok(Answer::Items(e.reverse_skyline(q)))
-        }
-        Request::Explain { customer, q } => {
-            check_dim(q, e.dim())?;
-            match customer {
-                Customer::Id(id) => {
-                    let id = resolve_id(e, *id)?;
-                    Ok(Answer::Items(e.explain(id, q).culprits))
-                }
-                _ => Err(unsupported(
-                    "in-memory explain identifies the customer by dataset id",
-                )),
-            }
-        }
-        Request::Mwp { customer, q } => {
-            check_dim(q, e.dim())?;
-            match customer {
-                Customer::Id(id) => {
-                    let id = resolve_id(e, *id)?;
-                    Ok(Answer::Candidates(e.mwp(id, q).candidates))
-                }
-                Customer::External(c) => {
-                    check_dim(c, e.dim())?;
-                    Ok(Answer::Candidates(e.mwp_external(c, q).candidates))
-                }
-                Customer::PointExcluding(..) => Err(unsupported(
-                    "point-excluding customers apply to paged mode; use a dataset id",
-                )),
-            }
-        }
-        Request::Mqp { customer, q } => {
-            check_dim(q, e.dim())?;
-            match customer {
-                Customer::Id(id) => {
-                    let id = resolve_id(e, *id)?;
-                    Ok(Answer::Candidates(e.mqp(id, q).candidates))
-                }
-                Customer::External(c) => {
-                    check_dim(c, e.dim())?;
-                    Ok(Answer::Candidates(e.mqp_external(c, q).candidates))
-                }
-                Customer::PointExcluding(..) => Err(unsupported(
-                    "point-excluding customers apply to paged mode; use a dataset id",
-                )),
-            }
-        }
-        Request::SafeRegion { q } => {
-            check_dim(q, e.dim())?;
-            let rsl = e.reverse_skyline(q);
-            let sr = mem_safe_region(e, opts, q, &rsl);
-            Ok(Answer::Region(crate::proto::region_to_wire(&sr)))
-        }
-        Request::Mwq { customer, q } => {
-            check_dim(q, e.dim())?;
-            let rsl = e.reverse_skyline(q);
-            let sr = mem_safe_region(e, opts, q, &rsl);
-            let ans = match customer {
-                Customer::Id(id) => {
-                    let id = resolve_id(e, *id)?;
-                    e.mwq(id, q, &sr)
-                }
-                Customer::External(c) => {
-                    check_dim(c, e.dim())?;
-                    e.mwq_external(c, q, &sr)
-                }
-                Customer::PointExcluding(..) => {
-                    return Err(unsupported(
-                        "point-excluding customers apply to paged mode; use a dataset id",
-                    ))
-                }
-            };
-            Ok(Answer::Mwq {
-                case: ans.case,
-                q_star: ans.q_star,
-                c_star: ans.c_star,
-                cost: ans.cost,
-            })
-        }
-        Request::Insert { .. } | Request::Delete { .. } => {
-            // Routed through `with_engine_mut` by the caller.
-            Err(bad("write request on the query path"))
-        }
-    }
-}
-
-/// Paged-mode customers arrive as explicit coordinates (the engine has
-/// no arena to resolve ids against).
-fn paged_customer(customer: &Customer) -> Result<(&Point, Option<ItemId>), (ErrorKind, String)> {
-    match customer {
-        Customer::External(p) => Ok((p, None)),
-        Customer::PointExcluding(p, id) => Ok((p, Some(*id))),
-        Customer::Id(_) => Err(unsupported(
-            "paged mode identifies customers by coordinates (external or point-excluding)",
-        )),
-    }
-}
-
-fn paged_request(
-    engine: &wnrs_core::PagedEngine<wnrs_storage::FilePager>,
-    req: &Request,
-) -> HandleResult {
-    let io = |e: wnrs_rtree::persist::PersistError| {
-        (ErrorKind::Internal, format!("page read failed: {e}"))
     };
-    let dim = engine.tree().dim();
-    match req {
-        Request::Ping | Request::Shutdown => Ok(Answer::Empty),
-        Request::Rsl { q } => {
-            check_dim(q, dim)?;
-            Ok(Answer::Items(engine.reverse_skyline(q).map_err(io)?))
-        }
-        Request::Explain { customer, q } => {
-            check_dim(q, dim)?;
-            let (c, exclude) = paged_customer(customer)?;
-            check_dim(c, dim)?;
-            Ok(Answer::Items(
-                engine.explain(c, exclude, q).map_err(io)?.culprits,
-            ))
-        }
-        Request::Mwp { customer, q } => {
-            check_dim(q, dim)?;
-            let (c, exclude) = paged_customer(customer)?;
-            check_dim(c, dim)?;
-            Ok(Answer::Candidates(
-                engine.mwp(c, exclude, q).map_err(io)?.candidates,
-            ))
-        }
-        Request::Mqp { customer, q } => {
-            check_dim(q, dim)?;
-            let (c, exclude) = paged_customer(customer)?;
-            check_dim(c, dim)?;
-            Ok(Answer::Candidates(
-                engine.mqp(c, exclude, q).map_err(io)?.candidates,
-            ))
-        }
-        Request::SafeRegion { q } => {
-            check_dim(q, dim)?;
-            let rsl = engine.reverse_skyline(q).map_err(io)?;
-            let sr = engine.safe_region_for(q, &rsl).map_err(io)?;
-            Ok(Answer::Region(crate::proto::region_to_wire(&sr)))
-        }
-        Request::Mwq { customer, q } => {
-            check_dim(q, dim)?;
-            let (c, exclude) = paged_customer(customer)?;
-            check_dim(c, dim)?;
-            let rsl = engine.reverse_skyline(q).map_err(io)?;
-            let sr = engine.safe_region_for(q, &rsl).map_err(io)?;
-            let ans = engine.mwq(c, exclude, q, &sr).map_err(io)?;
-            Ok(Answer::Mwq {
-                case: ans.case,
-                q_star: ans.q_star,
-                c_star: ans.c_star,
-                cost: ans.cost,
-            })
-        }
-        Request::Insert { .. } | Request::Delete { .. } => Err(unsupported(
-            "paged index is read-only; writes require the in-memory engine",
+    let reply = match host {
+        EngineHost::Memory(m) => m.with_engine(|e| e.answer(&question)),
+        EngineHost::Paged(engine) => engine.answer(&question),
+    };
+    Ok(match reply.map_err(refusal)? {
+        Reply::Rsl(items) => Answer::Items(items),
+        Reply::Explain(ex) => Answer::Items(ex.culprits),
+        Reply::Mwp(ans) => Answer::Candidates(ans.candidates),
+        Reply::Mqp(ans) => Answer::Candidates(ans.candidates),
+        Reply::SafeRegion { region, .. } => Answer::Region(crate::proto::region_to_wire(&region)),
+        Reply::Mwq { answer, .. } => Answer::Mwq {
+            case: answer.case,
+            q_star: answer.q_star,
+            c_star: answer.c_star,
+            cost: answer.cost,
+        },
+    })
+}
+
+/// The wire status of a refused question.
+fn refusal(e: QuestionError) -> (ErrorKind, String) {
+    let kind = match e {
+        QuestionError::Unsupported(_) => ErrorKind::Unsupported,
+        QuestionError::PageRead(_) => ErrorKind::Internal,
+        _ => ErrorKind::BadRequest,
+    };
+    (kind, e.to_string())
+}
+
+/// Runs a write with exclusive access to the in-memory engine, so it
+/// flows through the engine's surgical cache invalidation.
+fn write(host: &EngineHost, f: impl FnOnce(&mut WhyNotEngine) -> HandleResult) -> HandleResult {
+    match host {
+        EngineHost::Memory(m) => m.with_engine_mut(f),
+        EngineHost::Paged(_) => Err((
+            ErrorKind::Unsupported,
+            "paged index is read-only; writes require the in-memory engine".to_string(),
         )),
     }
 }

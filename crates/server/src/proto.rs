@@ -35,7 +35,7 @@
 
 use std::fmt;
 use std::io::{Read, Write};
-use wnrs_core::{Candidate, MwqCase};
+use wnrs_core::{Candidate, MwqCase, Question};
 use wnrs_geometry::{Point, Region};
 use wnrs_rtree::ItemId;
 use wnrs_storage::codec::CodecError;
@@ -157,6 +157,10 @@ impl From<std::io::Error> for ProtoError {
 // Opcodes, statuses, messages
 // ---------------------------------------------------------------------------
 
+/// How a request names the why-not customer (tag byte 0, 1 or 2 on the
+/// wire).
+pub use wnrs_core::Customer;
+
 /// Request opcodes, one per serving operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -273,19 +277,6 @@ impl ErrorKind {
     }
 }
 
-/// How a request names the why-not customer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Customer {
-    /// A dataset tuple by id (in-memory engines resolve the point and
-    /// apply the own-tuple exclusion automatically).
-    Id(ItemId),
-    /// An external (hypothetical) customer location; no exclusion.
-    External(Point),
-    /// Explicit coordinates plus an own-tuple exclusion id — the paged
-    /// engine's convention, where no in-memory arena exists to index.
-    PointExcluding(Point, ItemId),
-}
-
 /// A decoded request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -341,6 +332,22 @@ pub enum Request {
     },
     /// Begin graceful shutdown.
     Shutdown,
+}
+
+impl From<Question> for Request {
+    /// The request asking `question`. The wire carries no sample size:
+    /// a server answers safe-region and MWQ requests with the region
+    /// its own configuration names.
+    fn from(question: Question) -> Request {
+        match question {
+            Question::Rsl { q } => Request::Rsl { q },
+            Question::Explain { customer, q } => Request::Explain { customer, q },
+            Question::Mwp { customer, q } => Request::Mwp { customer, q },
+            Question::Mqp { customer, q } => Request::Mqp { customer, q },
+            Question::SafeRegion { q, .. } => Request::SafeRegion { q },
+            Question::Mwq { customer, q, .. } => Request::Mwq { customer, q },
+        }
+    }
 }
 
 impl Request {

@@ -41,14 +41,6 @@ use wnrs_obs::{Counter, Gauge};
 
 pub use crate::host::EngineHost;
 
-/// Serving knobs shared by every request handler.
-pub(crate) struct ServeOptions {
-    /// `Some(k)`: answer safe-region/MWQ requests from the lazily
-    /// materialised `k`-sample approximation instead of the exact
-    /// region (in-memory engines only).
-    pub(crate) lazy_k: Option<usize>,
-}
-
 /// Server tuning. Build with [`ServerConfig::default`] and override
 /// with the `with_*` methods; every knob is documented operationally
 /// in `docs/SERVING.md`.
@@ -59,7 +51,7 @@ pub struct ServerConfig {
     queue_depth: usize,
     max_conns: usize,
     deadline: Duration,
-    lazy_k: Option<usize>,
+    approx_k: Option<usize>,
 }
 
 impl Default for ServerConfig {
@@ -72,7 +64,7 @@ impl Default for ServerConfig {
             queue_depth: 128,
             max_conns: 1024,
             deadline: Duration::from_secs(10),
-            lazy_k: None,
+            approx_k: None,
         }
     }
 }
@@ -117,11 +109,12 @@ impl ServerConfig {
         self
     }
 
-    /// Answer safe-region/MWQ requests from the lazily materialised
-    /// `k`-sample approximate region (in-memory engines only).
+    /// Answer safe-region/MWQ requests from the `k`-sample approximate
+    /// region, built from lazily materialised samples (in-memory
+    /// engines only; the paged engine refuses such questions).
     #[must_use]
-    pub fn with_lazy_k(mut self, k: Option<usize>) -> Self {
-        self.lazy_k = k;
+    pub fn with_approx_k(mut self, k: Option<usize>) -> Self {
+        self.approx_k = k;
         self
     }
 }
@@ -173,7 +166,9 @@ struct Job {
 
 struct Shared {
     host: EngineHost,
-    opts: ServeOptions,
+    /// `Some(k)`: safe-region and MWQ requests get the `k`-sample
+    /// approximate region.
+    approx_k: Option<usize>,
     deadline: Duration,
     queue: BoundedQueue<Job>,
     shutting_down: AtomicBool,
@@ -226,7 +221,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             host,
-            opts: ServeOptions { lazy_k: cfg.lazy_k },
+            approx_k: cfg.approx_k,
             deadline: cfg.deadline,
             queue: BoundedQueue::new(cfg.queue_depth),
             shutting_down: AtomicBool::new(false),
@@ -462,7 +457,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 // Readers answer `Shutdown` themselves; never queued.
                 Opcode::Shutdown => wnrs_obs::span!("serve_shutdown"),
             };
-            match handler::handle(&shared.host, &shared.opts, &job.req) {
+            match handler::handle(&shared.host, shared.approx_k, job.req) {
                 Ok(answer) => ResponseBody::Ok(answer),
                 Err((kind, msg)) => ResponseBody::Error(kind, msg),
             }

@@ -134,6 +134,33 @@ fn all_opcodes_memory_match_oracle() {
                 }
             },
         ),
+        // Customers named by point: answered in memory as in paged mode.
+        (
+            Request::Explain {
+                customer: Customer::External(Point::xy(18.0, 60.0)),
+                q: q.clone(),
+            },
+            Answer::Items(
+                wnrs_core::explain(oracle.tree(), &Point::xy(18.0, 60.0), &q, None)
+                    .unwrap_or_else(|e| match e {})
+                    .culprits,
+            ),
+        ),
+        (
+            Request::Mwq {
+                customer: Customer::PointExcluding(pts[3].clone(), ItemId(3)),
+                q: q.clone(),
+            },
+            {
+                let ans = oracle.mwq(ItemId(3), &q, &sr);
+                Answer::Mwq {
+                    case: ans.case,
+                    q_star: ans.q_star,
+                    c_star: ans.c_star,
+                    cost: ans.cost,
+                }
+            },
+        ),
     ];
     for (i, (req, expected)) in cases.iter().enumerate() {
         let resp = client.call(req).expect("call");
@@ -172,12 +199,12 @@ fn all_opcodes_memory_match_oracle() {
         .expect("bad id answered");
     expect_error(&resp, ErrorKind::BadRequest);
     let resp = client
-        .call(&Request::Explain {
-            customer: Customer::External(Point::xy(1.0, 1.0)),
+        .call(&Request::Mwp {
+            customer: Customer::Id(ItemId(999)),
             q: q.clone(),
         })
-        .expect("unsupported answered");
-    expect_error(&resp, ErrorKind::Unsupported);
+        .expect("unknown customer answered");
+    expect_error(&resp, ErrorKind::BadRequest);
 
     // The connection is still healthy after every error above.
     let resp = client.call(&Request::Ping).expect("ping after errors");

@@ -32,7 +32,8 @@ const ACQUIRE: [&str; 4] = ["read", "write", "read_state", "write_state"];
 /// serving layer would hit. Deliberately restricted to unambiguous
 /// names — generic container methods (`insert`, `get`, …) are exactly
 /// what a fill *should* do under the guard.
-const ENGINE_CALLS: [&str; 14] = [
+const ENGINE_CALLS: [&str; 15] = [
+    "answer",
     "explain",
     "explain_batch",
     "mwp",

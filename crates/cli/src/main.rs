@@ -101,7 +101,10 @@ fn run(args: &[String]) -> Result<(), WnrsError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(WnrsError::usage("no command given"));
     };
-    let opts = parse_opts(rest)?;
+    let Some(known) = command_flags(cmd) else {
+        return Err(WnrsError::usage(format!("unknown command `{cmd}`")));
+    };
+    let opts = parse_opts(cmd, rest, known)?;
     if opts.contains_key("trace") {
         wnrs_obs::set_trace(true);
     }
@@ -149,13 +152,74 @@ fn emit_observability(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     Ok(())
 }
 
-fn parse_opts(args: &[String]) -> Result<HashMap<String, String>, WnrsError> {
+/// The flags `cmd` reads besides `--metrics-out` and `--trace`, or
+/// `None` for an unknown command. The question commands share one
+/// flags → `Question` parser, and so one set.
+fn command_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "generate" => &["kind", "n", "seed", "out", "paged"],
+        "index" => &["data", "index", "cache", "out", "paged"],
+        "stats" => &["data", "index", "cache", "paged"],
+        "profile" => &[
+            "data", "index", "cache", "threads", "paged", "query", "whynot", "approx-k",
+        ],
+        "rsl" | "explain" | "mwp" | "mqp" | "safe-region" | "mwq" => &[
+            "data",
+            "index",
+            "cache",
+            "threads",
+            "paged",
+            "pool-pages",
+            "query",
+            "whynot",
+            "whynot-point",
+            "approx-k",
+        ],
+        "serve" => &[
+            "data",
+            "index",
+            "cache",
+            "paged",
+            "pool-pages",
+            "addr",
+            "threads",
+            "queue-depth",
+            "max-conns",
+            "deadline-ms",
+            "approx-k",
+        ],
+        "client" => &[
+            "addr",
+            "op",
+            "query",
+            "whynot",
+            "whynot-point",
+            "point",
+            "approx-k",
+        ],
+        _ => return None,
+    })
+}
+
+/// Reads `--flag value` pairs, refusing any flag `cmd` does not read
+/// (a misspelt or retired flag would otherwise be ignored, and the
+/// command would answer a different question than the one typed).
+fn parse_opts(
+    cmd: &str,
+    args: &[String],
+    known: &[&str],
+) -> Result<HashMap<String, String>, WnrsError> {
     let mut opts = HashMap::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(WnrsError::usage(format!("expected a --flag, got `{flag}`")));
         };
+        if !known.contains(&key) && !["metrics-out", "trace"].contains(&key) {
+            return Err(WnrsError::usage(format!(
+                "unknown flag --{key} for `{cmd}`"
+            )));
+        }
         let value = it
             .next()
             .ok_or_else(|| WnrsError::usage(format!("--{key} needs a value")))?;

@@ -1,8 +1,8 @@
 //! Hostile command-line input ends in a usage error — exit status 1 and
 //! an `error:` line on stderr — never in a panic: non-finite
 //! coordinates, points of the wrong dimensionality (in memory and
-//! `--paged on`), a zero sample size (also for `serve`) and a
-//! non-finite CSV row.
+//! `--paged on`), a zero sample size (also for `serve`), a non-finite
+//! CSV row, and misspelt or retired flags.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -45,15 +45,16 @@ impl Drop for Fixture {
     }
 }
 
-fn assert_usage_error(args: &[&str]) {
+/// Asserts a usage error and returns its `error:` line.
+fn assert_usage_error(args: &[&str]) -> String {
     let out = wnrs(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
     assert_eq!(out.status.code(), Some(1), "{args:?}:\n{stderr}");
-    assert!(
-        stderr.lines().any(|l| l.starts_with("error: ")),
-        "{args:?} printed no error line:\n{stderr}"
-    );
+    let error = stderr.lines().find(|l| l.starts_with("error: "));
+    error
+        .unwrap_or_else(|| panic!("{args:?} printed no error line:\n{stderr}"))
+        .to_string()
 }
 
 /// NaN, an overflow to infinity, and points with too many and too few
@@ -161,4 +162,57 @@ fn non_finite_csv_row_is_a_usage_error() {
     let bad = bad.to_string_lossy().into_owned();
     assert_usage_error(&["rsl", "--data", &bad, "--query", "1,2"]);
     assert_usage_error(&["index", "--data", &bad, "--out", &f.index]);
+}
+
+#[test]
+fn unknown_flags_are_usage_errors_before_any_work() {
+    let f = fixture("flags");
+    let q = ["--data", &f.data, "--query", "15000,80", "--whynot", "5"];
+    // Misspelt flags, and the retired `--lazy`, each named in the error.
+    for (cmd, flag) in [
+        ("mwq", "--approx_k"),
+        ("safe-region", "--approx_k"),
+        ("mwp", "--cahce"),
+        ("explain", "--whynot_point"),
+        ("mwq", "--lazy"),
+        ("profile", "--lazy"),
+    ] {
+        let args = [&[cmd], &q[..], &[flag, "8"]].concat();
+        let error = assert_usage_error(&args);
+        assert!(
+            error.contains(flag),
+            "{args:?} did not name {flag}: {error}"
+        );
+    }
+    // Refused before any work: the server never binds, the index is
+    // never written and the dataset never generated.
+    assert_usage_error(&[
+        "serve",
+        "--data",
+        &f.data,
+        "--addr",
+        "127.0.0.1:0",
+        "--lazy",
+        "on",
+    ]);
+    let idx = f.dir.join("never.idx");
+    let idx = idx.to_string_lossy().into_owned();
+    assert_usage_error(&["index", "--data", &f.data, "--out", &idx, "--cahce", "on"]);
+    let csv = f.dir.join("never.csv");
+    let csv = csv.to_string_lossy().into_owned();
+    assert_usage_error(&[
+        "generate", "--kind", "cardb", "--n", "10", "--out", &csv, "--sed", "7",
+    ]);
+    assert!(!f.dir.join("never.idx").exists() && !f.dir.join("never.csv").exists());
+    assert_usage_error(&[
+        "client",
+        "--addr",
+        "127.0.0.1:9",
+        "--op",
+        "rsl",
+        "--query",
+        "1,2",
+        "--qurey",
+        "1,2",
+    ]);
 }

@@ -77,8 +77,9 @@
 //! ownership, and this module — a designated allocation-free hot path —
 //! never clones a key or a value on the *read* path. Surgical
 //! eviction walks the maps with `retain` under the write lock; the
-//! only write-path allocation is the copy-on-write repair of a
-//! culprit-window member list.
+//! only write-path allocation is the in-place repair of a culprit
+//! window (its two exactly sized arrays grow or shrink by one row, and
+//! a block a reader still holds is copied first).
 //!
 //! ## Memory bounds
 //!
@@ -86,7 +87,9 @@
 //! epoch flush of that map (cheap, allocation-free bookkeeping versus
 //! per-entry LRU chains); the dropped entries are counted as evictions
 //! in [`CacheStats`]. Per-customer maps are additionally bounded by the
-//! dataset size in steady state. Dependency metadata is a compact
+//! dataset size in steady state. Culprit windows are flat
+//! [`CulpritBlock`]s with no spare capacity: `4 + 8·d` bytes per culprit
+//! (20 B at d = 2). Dependency metadata is a compact
 //! sorted `u32` id list plus one safe-region bounding rectangle per
 //! MWQ entry, bounded by the same capacities.
 
@@ -97,10 +100,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wnrs_geometry::{dominates_dyn, CoordKey, Point, Rect, Region};
 use wnrs_obs::Counter;
+use wnrs_reverse_skyline::CulpritBlock;
 use wnrs_rtree::ItemId;
 
-/// A shared culprit-window / reverse-skyline / dynamic-skyline result.
+/// A shared reverse-skyline / dynamic-skyline result.
 pub type SharedItems = Arc<Vec<(ItemId, Point)>>;
+
+/// A shared culprit window `Λ`.
+pub type SharedCulprits = Arc<CulpritBlock>;
 
 /// Anti-DDR key: `(customer id, universe rect bits, shrink bits)`. The
 /// universe participates because `anti_ddr` clips to it and derives its
@@ -302,10 +309,10 @@ struct RslEntry {
     items: SharedItems,
 }
 
-/// A culprit-window entry: the members plus the window anchor.
+/// A culprit-window entry: the culprits plus the window anchor.
 struct LambdaEntry {
     anchor: Point,
-    items: SharedItems,
+    culprits: SharedCulprits,
 }
 
 /// A safe-region entry: the region plus the reverse-skyline ids it was
@@ -541,28 +548,25 @@ impl EngineCache {
         // in exactly one way — an insert adds the written tuple iff it
         // dynamically dominates the anchor w.r.t. c, a delete removes
         // the victim's tuple — and the entry is *repaired in place*
-        // rather than evicted, keeping the map hot at the cost of one
-        // copy-on-write of the (short) member list. A delete of c
+        // rather than evicted, keeping the map hot. A delete of c
         // itself is a no-op: the customer's own tuple was excluded
-        // from its windows all along. Ascending-id order is preserved,
-        // so repaired entries stay bit-identical to a recomputation.
+        // from its windows all along. The block keeps ascending-id
+        // order, so repaired entries stay bit-identical to a
+        // recomputation.
         for (&(_, c_id), entry) in &mut state.lambda {
             if c_id == ev.id {
                 continue;
             }
+            let id = ItemId(ev.id);
             match ev.kind {
                 WriteKind::Insert => {
                     if dominates_dyn(ev.point, &entry.anchor, probes.customer(c_id)) {
-                        let items = Arc::make_mut(&mut entry.items);
-                        if let Err(at) = items.binary_search_by_key(&ev.id, |(m, _)| m.0) {
-                            // lint:allow(hot_path_alloc) reason=copy-on-write repair on the write path, not a query
-                            items.insert(at, (ItemId(ev.id), ev.point.clone()));
-                        }
+                        Arc::make_mut(&mut entry.culprits).insert(id, ev.point.coords());
                     }
                 }
                 WriteKind::Delete => {
-                    if let Ok(at) = entry.items.binary_search_by_key(&ev.id, |(m, _)| m.0) {
-                        Arc::make_mut(&mut entry.items).remove(at);
+                    if entry.culprits.ids().binary_search(&id).is_ok() {
+                        Arc::make_mut(&mut entry.culprits).remove(id);
                     }
                 }
             }
@@ -946,11 +950,11 @@ impl EngineCache {
 
     /// The memoised culprit window `Λ` for a [`PairKey`], if present.
     #[must_use]
-    pub fn get_lambda(&self, key: &PairKey) -> Option<SharedItems> {
+    pub fn get_lambda(&self, key: &PairKey) -> Option<SharedCulprits> {
         let state = self.read_state();
         self.counted(
             self.guarded(&state, state.lambda.get(key))
-                .map(|e| Arc::clone(&e.items)),
+                .map(|e| Arc::clone(&e.culprits)),
         )
     }
 
@@ -961,8 +965,8 @@ impl EngineCache {
         expected_gen: u64,
         key: PairKey,
         anchor: Point,
-        lambda: Vec<(ItemId, Point)>,
-    ) -> SharedItems {
+        lambda: CulpritBlock,
+    ) -> SharedCulprits {
         let shared = Arc::new(lambda);
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
@@ -971,7 +975,7 @@ impl EngineCache {
                 key,
                 LambdaEntry {
                     anchor,
-                    items: Arc::clone(&shared),
+                    culprits: Arc::clone(&shared),
                 },
             );
         }
@@ -1184,11 +1188,13 @@ mod tests {
     #[test]
     fn lambda_keys_are_per_customer() {
         let cache = EngineCache::new(CacheConfig::default());
+        let mut lambda = CulpritBlock::new(2);
+        lambda.insert(ItemId(0), &[0.5, 0.5]);
         cache.put_lambda(
             cache.generation(),
             (key(1.0, 1.0), 7),
             Point::xy(1.0, 1.0),
-            vec![(ItemId(0), Point::xy(0.5, 0.5))],
+            lambda,
         );
         assert!(cache.get_lambda(&(key(1.0, 1.0), 7)).is_some());
         assert!(cache.get_lambda(&(key(1.0, 1.0), 8)).is_none());
@@ -1320,23 +1326,41 @@ mod tests {
         assert!(cache.get_dsl(1).is_some(), "non-member delete keeps");
     }
 
+    /// A block's ids and the bits of its coordinates, row by row.
+    fn block_bits(block: &CulpritBlock) -> Vec<(u32, Vec<u64>)> {
+        block
+            .iter()
+            .map(|(id, row)| (id.0, row.iter().map(|x| x.to_bits()).collect()))
+            .collect()
+    }
+
     #[test]
     fn surgical_lambda_repair_is_in_place() {
         // Λ anchored at (10, 10) for customer 0 at the origin: an
         // insert at (4, 4) dynamically dominates the anchor (closer to
-        // c in both dims) and must join the member list in id order;
-        // for customer 1 at (100, 100) it does not dominate and the
-        // list stays untouched. Deleting the written tuple again must
-        // remove exactly it. No entry is ever evicted.
+        // c in both dims) and must join the block in id order, between
+        // the culprits 3 and 12; for customer 1 at (100, 100) it does
+        // not dominate and the block stays untouched. Deleting the
+        // written tuple again must remove exactly it. No entry is ever
+        // evicted.
         let cache = EngineCache::new(CacheConfig::default());
         let anchor = Point::xy(10.0, 10.0);
+        let mut lambda = CulpritBlock::new(2);
+        lambda.insert(ItemId(12), &[5.0, 5.0]);
+        lambda.insert(ItemId(3), &[6.5, 0.25]);
+        let before = block_bits(&lambda);
         cache.put_lambda(
             cache.generation(),
             (key(10.0, 10.0), 0),
             anchor.clone(),
-            vec![(ItemId(12), Point::xy(5.0, 5.0))],
+            lambda,
         );
-        cache.put_lambda(cache.generation(), (key(10.0, 10.0), 1), anchor, vec![]);
+        cache.put_lambda(
+            cache.generation(),
+            (key(10.0, 10.0), 1),
+            anchor,
+            CulpritBlock::new(2),
+        );
 
         let customers = vec![Point::xy(0.0, 0.0), Point::xy(100.0, 100.0)];
         let mut probes = MockProbes::new(customers.clone());
@@ -1352,16 +1376,21 @@ mod tests {
         let repaired = cache
             .get_lambda(&(key(10.0, 10.0), 0))
             .expect("repaired, not evicted");
+        let bits = |xs: [f64; 2]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            repaired.iter().map(|(m, _)| m.0).collect::<Vec<_>>(),
-            vec![9, 12],
+            block_bits(&repaired),
+            vec![
+                (3, bits([6.5, 0.25])),
+                (9, bits([4.0, 4.0])),
+                (12, bits([5.0, 5.0]))
+            ],
             "written tuple joins the window in ascending id order"
         );
         assert!(
             cache
                 .get_lambda(&(key(10.0, 10.0), 1))
-                .is_some_and(|items| items.is_empty()),
-            "write outside the customer's window leaves the list alone"
+                .is_some_and(|block| block.is_empty()),
+            "write outside the customer's window leaves the block alone"
         );
 
         let mut probes = MockProbes::new(customers);
@@ -1377,8 +1406,8 @@ mod tests {
             .get_lambda(&(key(10.0, 10.0), 0))
             .expect("still live after the delete");
         assert_eq!(
-            repaired.iter().map(|(m, _)| m.0).collect::<Vec<_>>(),
-            vec![12],
+            block_bits(&repaired),
+            before,
             "deleting the tuple removes exactly it"
         );
         assert_eq!(cache.stats().mwq_evictions, 0);

@@ -2,8 +2,8 @@
 //! why-not answering techniques behind one API.
 
 use crate::cache::{
-    CacheConfig, CacheStats, DslSampleEntry, EngineCache, InvalidationMode, SharedItems,
-    WriteEvent, WriteKind, WriteProbes,
+    CacheConfig, CacheStats, DslSampleEntry, EngineCache, InvalidationMode, SharedCulprits,
+    SharedItems, WriteEvent, WriteKind, WriteProbes,
 };
 use crate::error::EngineError;
 use crate::explain::{explain, Explanation};
@@ -22,7 +22,7 @@ use wnrs_geometry::{
     dominates_dyn, f64_key, release_region, CoordKey, CostModel, Parallelism, Point, Rect, Region,
 };
 use wnrs_reverse_skyline::{
-    bbrs_reverse_skyline, is_reverse_skyline_member, is_reverse_skyline_member_with, window_query,
+    bbrs_reverse_skyline, is_reverse_skyline_member, is_reverse_skyline_member_with,
     window_query_with,
 };
 use wnrs_rtree::bulk::bulk_load;
@@ -35,9 +35,9 @@ pub const DEFAULT_EPS: f64 = 1e-9;
 
 /// A complete why-not reverse-skyline query engine over a monochromatic
 /// dataset (every point serves as product and customer, as in the
-/// paper's experiments). Bichromatic use is available through the
-/// `*_external` methods and [`WhyNotEngine::answer`], which take
-/// customers outside the dataset.
+/// paper's experiments). Bichromatic use is available through
+/// [`WhyNotEngine::answer`], whose questions may name customers outside
+/// the dataset.
 ///
 /// # Examples
 ///
@@ -496,13 +496,19 @@ impl WhyNotEngine {
     /// The memoised culprit window `Λ = window(c_t, at)` for customer
     /// `id`, with the window anchored at `at` (`q` itself, or a
     /// safe-region corner during MWQ's C2 repairs).
-    fn lambda_for(&self, cache: &EngineCache, id: ItemId, at: &Point) -> SharedItems {
+    fn lambda_for(&self, cache: &EngineCache, id: ItemId, at: &Point) -> SharedCulprits {
         let key = (CoordKey::of_point(at), id.0);
         let expected_gen = cache.generation();
         if let Some(lambda) = cache.get_lambda(&key) {
             return lambda;
         }
-        let lambda = window_query(&self.tree, self.point(id), at, Some(id));
+        let lambda = into_ok(window_query_with(
+            &self.tree,
+            self.point(id),
+            at,
+            Some(id),
+            &mut WindowScratch::new(),
+        ));
         cache.put_lambda(expected_gen, key, at.clone(), lambda)
     }
 
@@ -533,9 +539,8 @@ impl WhyNotEngine {
     pub fn explain(&self, id: ItemId, q: &Point) -> Explanation {
         if let Some(cache) = &self.cache {
             let _span = wnrs_obs::span!("explain");
-            let lambda = self.lambda_for(cache, id, q);
             return Explanation {
-                culprits: (*lambda).clone(),
+                culprits: self.lambda_for(cache, id, q).to_items(),
             };
         }
         into_ok(explain(&self.tree, self.point(id), q, Some(id)))
@@ -585,13 +590,6 @@ impl WhyNotEngine {
         ))
     }
 
-    /// Algorithm 1 (MWP) for an external (bichromatic) customer.
-    pub fn mwp_external(&self, c_t: &Point, q: &Point) -> MwpAnswer {
-        into_ok(modify_why_not_point(
-            &self.tree, c_t, q, None, &self.cost, self.eps,
-        ))
-    }
-
     /// Algorithm 2 (MQP) for dataset customer `id`.
     ///
     /// Minimally modifies the *query product* onto the customer's
@@ -634,13 +632,6 @@ impl WhyNotEngine {
             Some(id),
             &self.cost,
             self.eps,
-        ))
-    }
-
-    /// Algorithm 2 (MQP) for an external customer.
-    pub fn mqp_external(&self, c_t: &Point, q: &Point) -> MqpAnswer {
-        into_ok(modify_query_point(
-            &self.tree, c_t, q, None, &self.cost, self.eps,
         ))
     }
 
@@ -974,9 +965,8 @@ impl WhyNotEngine {
         if let Some(cache) = &self.cache {
             return map_slice(ids, &self.parallelism, |&id| {
                 let _span = wnrs_obs::span!("explain");
-                let lambda = self.lambda_for(cache, id, q);
                 Explanation {
-                    culprits: (*lambda).clone(),
+                    culprits: self.lambda_for(cache, id, q).to_items(),
                 }
             });
         }
@@ -986,14 +976,15 @@ impl WhyNotEngine {
             for i in range {
                 let _span = wnrs_obs::span!("explain");
                 let id = ids[i];
+                let lambda = into_ok(window_query_with(
+                    &self.tree,
+                    self.point(id),
+                    q,
+                    Some(id),
+                    &mut scratch,
+                ));
                 chunk.push(Explanation {
-                    culprits: into_ok(window_query_with(
-                        &self.tree,
-                        self.point(id),
-                        q,
-                        Some(id),
-                        &mut scratch,
-                    )),
+                    culprits: lambda.to_items(),
                 });
             }
             chunk
@@ -1319,10 +1310,39 @@ mod tests {
         let e = engine();
         let q = Point::xy(8.5, 55.0);
         let c_ext = Point::xy(4.0, 28.0);
-        let mwp = e.mwp_external(&c_ext, &q);
+        let customer = Customer::External(c_ext.clone());
+        let (tree, cost) = (e.tree(), e.cost_model());
+        let mwp = into_ok(modify_why_not_point(
+            tree,
+            &c_ext,
+            &q,
+            None,
+            cost,
+            DEFAULT_EPS,
+        ));
         assert!(mwp.best_cost() > 0.0);
-        let mqp = e.mqp_external(&c_ext, &q);
+        let question = Question::Mwp {
+            customer: customer.clone(),
+            q: q.clone(),
+        };
+        let Ok(Reply::Mwp(asked)) = e.answer(&question) else {
+            panic!("{question:?} got no MWP reply");
+        };
+        assert_eq!(format!("{asked:?}"), format!("{mwp:?}"));
+        let mqp = into_ok(modify_query_point(
+            tree,
+            &c_ext,
+            &q,
+            None,
+            cost,
+            DEFAULT_EPS,
+        ));
         assert!(mqp.best_cost() > 0.0);
+        let question = Question::Mqp { customer, q };
+        let Ok(Reply::Mqp(asked)) = e.answer(&question) else {
+            panic!("{question:?} got no MQP reply");
+        };
+        assert_eq!(format!("{asked:?}"), format!("{mqp:?}"));
     }
 
     #[test]

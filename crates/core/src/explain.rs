@@ -35,7 +35,8 @@ pub fn explain<S: NodeSource>(
 ) -> Result<Explanation, S::Error> {
     let _span = wnrs_obs::span!("explain");
     Ok(Explanation {
-        culprits: window_query_with(products, c_t, q, exclude, &mut WindowScratch::new())?,
+        culprits: window_query_with(products, c_t, q, exclude, &mut WindowScratch::new())?
+            .to_items(),
     })
 }
 

@@ -16,7 +16,7 @@ use crate::answer::{finish_candidates, Candidate};
 use crate::verify::{limit_verified_query_by, FirstError};
 use wnrs_geometry::kernels::dominates_chunked;
 use wnrs_geometry::{abs_diff_into, cmp_f64, CostModel, Point};
-use wnrs_reverse_skyline::{is_reverse_skyline_member_with, window_query_with};
+use wnrs_reverse_skyline::{is_reverse_skyline_member_with, window_query_with, CulpritBlock};
 use wnrs_rtree::{ItemId, NodeSource, WindowScratch};
 
 /// The result of Algorithm 2.
@@ -100,14 +100,14 @@ pub fn modify_query_point_with_lambda<S: NodeSource>(
     products: &S,
     c_t: &Point,
     q: &Point,
-    lambda: &[(ItemId, Point)],
+    lambda: &CulpritBlock,
     exclude: Option<ItemId>,
     cost: &CostModel,
     eps: f64,
 ) -> Result<MqpAnswer, S::Error> {
     let mut scratch = WindowScratch::new();
     let failed = FirstError::new();
-    let ans = modify_query_point_core(c_t, q, lambda, cost, eps, &mut |c, at| {
+    let ans = mqp_over_rows(c_t, q, lambda.rows(), cost, eps, &mut |c, at| {
         failed.run(
             || is_reverse_skyline_member_with(products, c, at, exclude, &mut scratch),
             || false,
@@ -116,9 +116,9 @@ pub fn modify_query_point_with_lambda<S: NodeSource>(
     failed.finish(ans)
 }
 
-/// Index-agnostic core of Algorithm 2: the candidate construction uses
-/// only `Λ`; the product store enters solely through `member(c, at)`
-/// deciding `c ∈ RSL(at)`.
+/// Index-agnostic core of Algorithm 2 over boxed culprits: the
+/// candidate construction uses only `Λ`; the product store enters
+/// solely through `member(c, at)` deciding `c ∈ RSL(at)`.
 pub fn modify_query_point_core(
     c_t: &Point,
     q: &Point,
@@ -127,9 +127,22 @@ pub fn modify_query_point_core(
     eps: f64,
     member: &mut impl FnMut(&Point, &Point) -> bool,
 ) -> MqpAnswer {
+    let rows = lambda.iter().map(|(_, e)| e.coords());
+    mqp_over_rows(c_t, q, rows, cost, eps, member)
+}
+
+/// Algorithm 2 over the culprits' coordinate rows, in `Λ`'s id order.
+fn mqp_over_rows<'a>(
+    c_t: &Point,
+    q: &Point,
+    lambda: impl ExactSizeIterator<Item = &'a [f64]>,
+    cost: &CostModel,
+    eps: f64,
+    member: &mut impl FnMut(&Point, &Point) -> bool,
+) -> MqpAnswer {
     assert_eq!(c_t.dim(), q.dim(), "dimensionality mismatch");
     let d = c_t.dim();
-    if lambda.is_empty() {
+    if lambda.len() == 0 {
         return MqpAnswer {
             candidates: vec![Candidate {
                 point: q.clone(),
@@ -152,8 +165,8 @@ pub fn modify_query_point_core(
     let mut t: Vec<f64> = Vec::with_capacity(d);
     let mut f_t: Vec<f64> = Vec::new();
     let mut tests = 0u64;
-    for (_, e) in lambda {
-        abs_diff_into(e.coords(), c_t.coords(), &mut t);
+    for e in lambda {
+        abs_diff_into(e, c_t.coords(), &mut t);
         let dominated = f_t.chunks_exact(d).any(|f| {
             tests += 1;
             dominates_chunked(f, &t)

@@ -19,7 +19,7 @@ use crate::answer::{finish_candidates, Candidate};
 use crate::verify::{limit_verified_whynot_by, FirstError};
 use std::cmp::Ordering;
 use wnrs_geometry::{cmp_f64, CostModel, Point};
-use wnrs_reverse_skyline::{is_reverse_skyline_member_with, window_query_with};
+use wnrs_reverse_skyline::{is_reverse_skyline_member_with, window_query_with, CulpritBlock};
 use wnrs_rtree::{ItemId, NodeSource, WindowScratch};
 
 /// The result of Algorithm 1.
@@ -116,14 +116,14 @@ pub fn modify_why_not_point_with_lambda<S: NodeSource>(
     products: &S,
     c_t: &Point,
     q: &Point,
-    lambda: &[(ItemId, Point)],
+    lambda: &CulpritBlock,
     exclude: Option<ItemId>,
     cost: &CostModel,
     eps: f64,
 ) -> Result<MwpAnswer, S::Error> {
     let mut scratch = WindowScratch::new();
     let failed = FirstError::new();
-    let ans = modify_why_not_point_core(c_t, q, lambda, cost, eps, &mut |c, at| {
+    let ans = mwp_over_rows(c_t, q, lambda.rows(), cost, eps, &mut |c, at| {
         failed.run(
             || is_reverse_skyline_member_with(products, c, at, exclude, &mut scratch),
             || false,
@@ -132,9 +132,10 @@ pub fn modify_why_not_point_with_lambda<S: NodeSource>(
     failed.finish(ans)
 }
 
-/// Index-agnostic core of Algorithm 1: the candidate construction uses
-/// only `Λ`; the product store enters solely through `member(c, at)`
-/// deciding `c ∈ RSL(at)` (in-memory arena, page-resident tree, …).
+/// Index-agnostic core of Algorithm 1 over boxed culprits: the
+/// candidate construction uses only `Λ`; the product store enters
+/// solely through `member(c, at)` deciding `c ∈ RSL(at)` (in-memory
+/// arena, page-resident tree, …).
 pub fn modify_why_not_point_core(
     c_t: &Point,
     q: &Point,
@@ -143,9 +144,22 @@ pub fn modify_why_not_point_core(
     eps: f64,
     member: &mut impl FnMut(&Point, &Point) -> bool,
 ) -> MwpAnswer {
+    let rows = lambda.iter().map(|(_, e)| e.coords());
+    mwp_over_rows(c_t, q, rows, cost, eps, member)
+}
+
+/// Algorithm 1 over the culprits' coordinate rows, in `Λ`'s id order.
+fn mwp_over_rows<'a>(
+    c_t: &Point,
+    q: &Point,
+    lambda: impl ExactSizeIterator<Item = &'a [f64]>,
+    cost: &CostModel,
+    eps: f64,
+    member: &mut impl FnMut(&Point, &Point) -> bool,
+) -> MwpAnswer {
     assert_eq!(c_t.dim(), q.dim(), "dimensionality mismatch");
     let d = c_t.dim();
-    if lambda.is_empty() {
+    if lambda.len() == 0 {
         return MwpAnswer {
             candidates: vec![Candidate {
                 point: c_t.clone(),
@@ -173,7 +187,7 @@ pub fn modify_why_not_point_core(
     // that do not grow with |Λ|.
     let mut needed: Vec<Option<f64>> = vec![Some(f64::NEG_INFINITY); d];
     let mut stairs: Vec<(f64, f64)> = Vec::new();
-    for (_, e) in lambda {
+    for e in lambda {
         for (i, n) in needed.iter_mut().enumerate() {
             *n = n.zip(threshold(e[i], q[i], sign[i])).map(|(m, v)| m.max(v));
         }

@@ -1,7 +1,10 @@
-//! Proves that the allocations of the MWP and MQP cores do not grow with
-//! the culprit set `Λ`: appending 10,000 blockers that change neither
+//! Proves that the allocations of MWP and MQP do not grow with the
+//! culprit set `Λ`. First, appending 10,000 blockers that change neither
 //! core's frontier nor its answer must leave the number of heap
-//! allocations of one call unchanged.
+//! allocations of one core call unchanged. Second, a whole
+//! `modify_why_not_point` and a whole `modify_query_point` call — window
+//! query included — on a CarDB question with at least 2,000 culprits
+//! must each allocate fewer than `|Λ|/10` times.
 //!
 //! The extra blockers sit just behind blockers already in `Λ`, in each
 //! core's own frame: for MWP each escape threshold is slightly lower
@@ -20,12 +23,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wnrs_core::answer::Candidate;
 use wnrs_core::engine::DEFAULT_EPS;
-use wnrs_core::{modify_query_point_core, modify_why_not_point_core};
+use wnrs_core::{
+    modify_query_point, modify_query_point_core, modify_why_not_point, modify_why_not_point_core,
+};
 use wnrs_data::RepeatedWorkload;
 use wnrs_geometry::{dominates_dyn, CostModel, Point, Weights};
 use wnrs_reverse_skyline::window_query;
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{ItemId, RTreeConfig};
+use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
 
 /// System allocator wrapper counting every allocation and reallocation.
 struct CountingAlloc;
@@ -190,5 +195,68 @@ fn core_allocations_do_not_grow_with_the_culprit_set() {
         "MQP allocated {base_allocs} times over {} culprits and {more_allocs} times over {}",
         lambda.len(),
         mqp_extended.len()
+    );
+
+    whole_calls_allocate_less_than_a_tenth_of_the_culprits();
+}
+
+/// One whole MWP and one whole MQP call over an arena tree, on the
+/// CarDB question with the largest culprit set among twenty.
+fn whole_calls_allocate_less_than_a_tenth_of_the_culprits() {
+    let mut rng = StdRng::seed_from_u64(20_130_408);
+    let points = wnrs_data::cardb(&mut rng, 20_000);
+    let tree = bulk_load(&points, RTreeConfig::paper_default(2));
+    let workload = RepeatedWorkload::repeated(&tree, &points, 20, 1, 1, &mut rng);
+    let (q, id, culprits) = workload
+        .questions
+        .iter()
+        .map(|b| {
+            let id = b.whynot[0];
+            let c_t = &points[id.0 as usize];
+            (
+                b.q.clone(),
+                id,
+                window_query(&tree, c_t, &b.q, Some(id)).len(),
+            )
+        })
+        .max_by_key(|&(_, _, culprits)| culprits)
+        .expect("twenty questions");
+    assert!(culprits >= 2_000, "only {culprits} culprits");
+    let c_t = &points[id.0 as usize];
+    let cost = CostModel::new(Weights::equal(2), Weights::equal(2));
+    let mwp = || {
+        into_ok(modify_why_not_point(
+            &tree,
+            c_t,
+            &q,
+            Some(id),
+            &cost,
+            DEFAULT_EPS,
+        ))
+    };
+    let mqp = || {
+        into_ok(modify_query_point(
+            &tree,
+            c_t,
+            &q,
+            Some(id),
+            &cost,
+            DEFAULT_EPS,
+        ))
+    };
+    // Warm-up, as above.
+    let _ = (mwp(), mqp());
+
+    let (ans, allocs) = counted(mwp);
+    assert!(ans.best_cost() > 0.0);
+    assert!(
+        allocs < culprits as u64 / 10,
+        "MWP allocated {allocs} times over {culprits} culprits"
+    );
+    let (ans, allocs) = counted(mqp);
+    assert!(ans.best_cost() > 0.0);
+    assert!(
+        allocs < culprits as u64 / 10,
+        "MQP allocated {allocs} times over {culprits} culprits"
     );
 }

@@ -142,7 +142,14 @@ fn memory_answers_equal_the_direct_calls() {
                         customer: Customer::External(ext.clone()),
                         q: q.clone(),
                     },
-                    Reply::Mwp(e.mwp_external(&ext, &q)),
+                    Reply::Mwp(into_ok(modify_why_not_point(
+                        tree,
+                        &ext,
+                        &q,
+                        None,
+                        cost,
+                        DEFAULT_EPS,
+                    ))),
                 ),
                 (
                     Question::Mwp {
@@ -170,7 +177,14 @@ fn memory_answers_equal_the_direct_calls() {
                         customer: Customer::External(ext.clone()),
                         q: q.clone(),
                     },
-                    Reply::Mqp(e.mqp_external(&ext, &q)),
+                    Reply::Mqp(into_ok(modify_query_point(
+                        tree,
+                        &ext,
+                        &q,
+                        None,
+                        cost,
+                        DEFAULT_EPS,
+                    ))),
                 ),
                 (
                     Question::Mqp {

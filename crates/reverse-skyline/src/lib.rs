@@ -7,6 +7,8 @@
 //! * [`window`] — the `window_query` membership primitive (Section II):
 //!   `c ∈ RSL(q)` iff the window centred at `c` with per-side extents
 //!   `|c − q|` contains no product dynamically dominating `q`;
+//! * [`culprits`] — the window's result `Λ` as one flat
+//!   [`CulpritBlock`]: ascending ids plus row-major coordinates;
 //! * [`naive`] — bichromatic evaluation by per-customer window queries,
 //!   sequentially or in parallel;
 //! * [`bbrs`] — the BBRS algorithm of Dellis & Seeger (VLDB'07) for the
@@ -25,11 +27,13 @@
 
 pub mod bbrs;
 pub mod bichromatic;
+pub mod culprits;
 pub mod naive;
 pub mod window;
 
 pub use bbrs::{bbrs_reverse_skyline, global_skyline, reverse_skyline};
 pub use bichromatic::rsl_bichromatic_indexed;
+pub use culprits::CulpritBlock;
 pub use naive::{rsl_bichromatic, rsl_bichromatic_parallel, rsl_monochromatic_naive};
 pub use window::{
     is_reverse_skyline_member, is_reverse_skyline_member_with, paged_window_query, window_query,

@@ -7,7 +7,8 @@
 //! paper's first why-not answer: the products the customer finds more
 //! interesting than `q`.
 
-use wnrs_geometry::{dominates_dyn, kernels, Point, Rect};
+use crate::culprits::CulpritBlock;
+use wnrs_geometry::{kernels, Point, Rect};
 use wnrs_rtree::paged::NodeBuf;
 use wnrs_rtree::persist::PersistError;
 use wnrs_rtree::{into_ok, window_walk, ItemId, NodeSource, PagedRTree, RTree, WindowScratch};
@@ -18,7 +19,8 @@ use wnrs_storage::{PageId, Pager};
 pub type PagedMemberScratch = WindowScratch<PageId, NodeBuf>;
 
 /// The culprit set `Λ = window_query(c, q)`: all products that
-/// dynamically dominate `q` with respect to `c`, in ascending id order.
+/// dynamically dominate `q` with respect to `c`, in ascending id order,
+/// as boxed pairs ([`window_query_with`] returns the flat block).
 /// `exclude` removes the customer's own tuple in the monochromatic
 /// setting.
 ///
@@ -57,6 +59,7 @@ pub fn window_query(
         exclude,
         &mut WindowScratch::new(),
     ))
+    .to_items()
 }
 
 /// [`window_query`] through pages.
@@ -70,16 +73,22 @@ pub fn paged_window_query<P: Pager>(
     q: &Point,
     exclude: Option<ItemId>,
 ) -> Result<Vec<(ItemId, Point)>, PersistError> {
-    window_query_with(tree, c, q, exclude, &mut WindowScratch::new())
+    Ok(window_query_with(tree, c, q, exclude, &mut WindowScratch::new())?.to_items())
 }
 
 /// [`window_query`] over either node source, reusing a window scratch
-/// across calls — the per-customer hot path of batch explanations.
+/// across calls, as one flat [`CulpritBlock`] — the form every
+/// algorithm and the engine cache consume. Each product inside the
+/// window is tested for dynamic dominance on the walk's own coordinate
+/// slice, and only dominators are copied; the survivors are ordered by
+/// sorting compact `(id, row)` keys. No allocation is made per culprit.
+///
 /// Results are in ascending id order: a *canonical* order, independent
 /// of the index's node layout, so culprit sets — and everything that
 /// tie-breaks on their order, like Algorithm 1's candidate staircase —
 /// compare bit-identically between a cached answer and a recomputation
-/// against a tree whose shape has changed under writes.
+/// against a tree whose shape has changed under writes. The dominance
+/// tests are recorded once per query; the excluded tuple is not tested.
 ///
 /// # Errors
 ///
@@ -90,16 +99,34 @@ pub fn window_query_with<S: NodeSource>(
     q: &Point,
     exclude: Option<ItemId>,
     scratch: &mut WindowScratch<S::NodeRef, S::Buf>,
-) -> Result<Vec<(ItemId, Point)>, S::Error> {
-    // lint:allow(hot_path_alloc) reason=one result buffer per window query, not per entry
-    let mut out = Vec::new();
+) -> Result<CulpritBlock, S::Error> {
+    let d = c.dim();
+    // The dominators' rows in walk order, and one `(id, row)` key each
+    // (a window holds at most as many products as there are `u32` ids).
+    // lint:allow(hot_path_alloc) reason=one staging buffer per window query, not per entry
+    let mut staged = Vec::new();
+    // lint:allow(hot_path_alloc) reason=one key buffer per window query, not per entry
+    let mut keys: Vec<(ItemId, u32)> = Vec::new();
+    let mut tested = 0u64;
     window_walk(products, &Rect::window(c, q), scratch, |id, p| {
-        out.push((id, Point::from(p)));
+        if Some(id) != exclude {
+            tested += 1;
+            if kernels::dominates_dyn_chunked(p, q.coords(), c.coords()) {
+                keys.push((id, keys.len() as u32));
+                staged.extend_from_slice(p);
+            }
+        }
         false
     })?;
-    out.retain(|(id, p)| Some(*id) != exclude && dominates_dyn(p, q, c));
-    out.sort_unstable_by_key(|(id, _)| *id);
-    Ok(out)
+    wnrs_obs::record_n(wnrs_obs::Counter::DominanceTests, tested);
+    keys.sort_unstable_by_key(|&(id, _)| id);
+    let ids = keys.iter().map(|&(id, _)| id).collect();
+    let mut coords = Vec::with_capacity(staged.len());
+    for &(_, row) in &keys {
+        let at = row as usize * d;
+        coords.extend_from_slice(&staged[at..at + d]);
+    }
+    Ok(CulpritBlock::from_sorted(d, ids, coords))
 }
 
 /// Whether `c ∈ RSL(q)`: true iff the window query finds no dominating

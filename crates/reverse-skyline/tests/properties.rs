@@ -1,13 +1,17 @@
 //! Property-based tests of the reverse-skyline substrate.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use wnrs_geometry::{dominates_dyn, Point};
 use wnrs_reverse_skyline::{
-    bbrs_reverse_skyline, global_skyline, is_reverse_skyline_member, rsl_bichromatic,
-    rsl_bichromatic_parallel, rsl_monochromatic_naive, window_query,
+    bbrs_reverse_skyline, global_skyline, is_reverse_skyline_member, paged_window_query,
+    rsl_bichromatic, rsl_bichromatic_parallel, rsl_monochromatic_naive, window_query,
+    window_query_with, CulpritBlock,
 };
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
+use wnrs_rtree::persist::save;
+use wnrs_rtree::{into_ok, ItemId, PagedRTree, RTreeConfig, WindowScratch};
+use wnrs_storage::{BufferPool, MemPager};
 
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Point>> {
     prop::collection::vec(
@@ -102,5 +106,80 @@ proptest! {
             is_reverse_skyline_member(&tree2, c_t, &q, None),
             "Lemma 1 violated for customer {}", i
         );
+    }
+}
+
+/// Ids and coordinate bits, in the order given.
+fn bits<'a>(items: impl Iterator<Item = (ItemId, &'a [f64])>) -> Vec<(u32, Vec<u64>)> {
+    items
+        .map(|(id, row)| (id.0, row.iter().map(|x| x.to_bits()).collect()))
+        .collect()
+}
+
+fn block_bits(block: &CulpritBlock) -> Vec<(u32, Vec<u64>)> {
+    bits(block.iter())
+}
+
+fn boxed_bits(items: &[(ItemId, Point)]) -> Vec<(u32, Vec<u64>)> {
+    bits(items.iter().map(|(id, p)| (*id, p.coords())))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn window_block_equals_the_boxed_definition(
+        grid in prop::collection::vec(prop::collection::vec(0u8..6, 5), 2..70),
+        q_grid in prop::collection::vec(0u8..12, 5),
+        pick in 0usize..70,
+        dup in 0usize..70,
+    ) {
+        // Products on a coarse integer grid, so exact duplicates and
+        // per-dimension distance ties are common; the customer is one
+        // of them. Two more products: a duplicate, and one at q's
+        // reflection about the customer, which ties q in every
+        // dimension and so sits on the window's boundary without
+        // dominating q.
+        for d in [1usize, 2, 3, 5] {
+            let point = |v: &[u8]| Point::new(v[..d].iter().map(|&x| f64::from(x)).collect::<Vec<_>>());
+            let mut pts: Vec<Point> = grid.iter().map(|v| point(v)).collect();
+            let q = Point::new(q_grid[..d].iter().map(|&x| f64::from(x) - 3.0).collect::<Vec<_>>());
+            let i = pick % pts.len();
+            let c = pts[i].clone();
+            pts.push(pts[dup % pts.len()].clone());
+            let reflection = Point::new((0..d).map(|k| 2.0 * c[k] - q[k]).collect::<Vec<_>>());
+            pts.push(reflection);
+            let reflection_id = ItemId((pts.len() - 1) as u32);
+
+            let tree = bulk_load(&pts, RTreeConfig::with_max_entries(4));
+            let pager = Arc::new(MemPager::paper_default());
+            let meta = save(&tree, pager.as_ref()).expect("save");
+            let paged = PagedRTree::open(BufferPool::new(pager, 8), meta).expect("open");
+
+            for exclude in [Some(ItemId(i as u32)), None] {
+                // The definition, boxed: every product but the excluded
+                // one that dynamically dominates q w.r.t. c, by id.
+                let want: Vec<(ItemId, Point)> = pts
+                    .iter()
+                    .enumerate()
+                    .map(|(j, p)| (ItemId(j as u32), p.clone()))
+                    .filter(|(id, p)| Some(*id) != exclude && dominates_dyn(p, &q, &c))
+                    .collect();
+                let want = boxed_bits(&want);
+                let arena = into_ok(window_query_with(&tree, &c, &q, exclude, &mut WindowScratch::new()));
+                let from_pages = window_query_with(&paged, &c, &q, exclude, &mut WindowScratch::new())
+                    .expect("paged window");
+                prop_assert_eq!(arena.dim(), d);
+                prop_assert_eq!(&block_bits(&arena), &want, "arena block, d = {}", d);
+                prop_assert_eq!(&block_bits(&from_pages), &want, "paged block, d = {}", d);
+                prop_assert_eq!(&boxed_bits(&window_query(&tree, &c, &q, exclude)), &want);
+                let boxed = paged_window_query(&paged, &c, &q, exclude).expect("paged boxed");
+                prop_assert_eq!(&boxed_bits(&boxed), &want);
+                prop_assert!(!arena.ids().contains(&reflection_id), "boundary tie counted");
+                if exclude.is_some() {
+                    prop_assert!(!arena.ids().contains(&ItemId(i as u32)), "own tuple counted");
+                }
+            }
+        }
     }
 }

@@ -215,8 +215,17 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind/spawn failures as [`std::io::Error`].
+    /// [`io::ErrorKind::InvalidInput`] before binding when the
+    /// configured approximate sample size is zero (every safe-region
+    /// and MWQ request would be refused); otherwise propagates
+    /// bind/spawn failures as [`std::io::Error`].
     pub fn start(cfg: ServerConfig, host: EngineHost) -> io::Result<Server> {
+        if cfg.approx_k == Some(0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "approximate sample size k must be positive",
+            ));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {

@@ -12,10 +12,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
-use wnrs_core::WhyNotEngine;
+use wnrs_core::engine::DEFAULT_EPS;
+use wnrs_core::{modify_why_not_point, WhyNotEngine};
 use wnrs_geometry::{CostModel, Point};
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{ItemId, PagedRTree, RTreeConfig};
+use wnrs_rtree::{into_ok, ItemId, PagedRTree, RTreeConfig};
 use wnrs_server::client::Client;
 use wnrs_server::proto::{
     self, encode_request, encode_response, Answer, Customer, ErrorKind, Opcode, Request, Response,
@@ -106,7 +107,17 @@ fn all_opcodes_memory_match_oracle() {
                 customer: Customer::External(Point::xy(18.0, 60.0)),
                 q: q.clone(),
             },
-            Answer::Candidates(oracle.mwp_external(&Point::xy(18.0, 60.0), &q).candidates),
+            Answer::Candidates(
+                into_ok(modify_why_not_point(
+                    oracle.tree(),
+                    &Point::xy(18.0, 60.0),
+                    &q,
+                    None,
+                    oracle.cost_model(),
+                    DEFAULT_EPS,
+                ))
+                .candidates,
+            ),
         ),
         (
             Request::Mqp {
@@ -567,6 +578,25 @@ fn full_queue_sheds_with_explicit_overload() {
         "a 1-deep queue with 1 worker absorbed {PIPELINED} pipelined MWQs without shedding"
     );
     server.shutdown().expect("shutdown");
+}
+
+#[test]
+fn zero_sample_size_is_refused_before_binding() {
+    // The address is taken, so a server that bound first would fail
+    // with `AddrInUse`; the configuration check must come before it.
+    let taken = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = taken.local_addr().expect("addr").to_string();
+    let cfg = ServerConfig::default()
+        .with_addr(addr)
+        .with_approx_k(Some(0));
+    let host = EngineHost::memory(WhyNotEngine::new(paper_points()));
+    match Server::start(cfg, host) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(server) => {
+            server.shutdown().expect("shutdown");
+            panic!("a server with k = 0 started");
+        }
+    }
 }
 
 #[test]

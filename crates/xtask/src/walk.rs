@@ -27,8 +27,10 @@ const HOT_PATHS: [&str; 4] = [
 /// their inner loops run once per customer (or per tree node) and must
 /// not produce per-element heap traffic. Cold setup paths use the
 /// `lint:allow(hot_path_alloc)` escape. The index walks are included —
-/// the window walk, the membership probe, BBS and BBRS's global skyline,
-/// each written once over both node sources — and so is the page decode
+/// the window walk and the window query that fills the flat culprit
+/// block from it (per-query buffers only, never one per culprit), the
+/// membership probe, BBS and BBRS's global skyline, each written once
+/// over both node sources — and so is the page decode
 /// under every out-of-core read, where a stray per-entry allocation
 /// multiplies by the page fan-out.
 const ALLOC_HOT_PATHS: [&str; 9] = [

@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
+use wnrs::core::{Customer, Question, Reply};
 use wnrs::prelude::*;
 use wnrs::reverse_skyline::rsl_bichromatic_indexed;
 
@@ -76,16 +77,24 @@ fn main() {
     {
         println!("  car #{:<6} {p}", id.0);
     }
-    let fix = engine.mwp_external(missed, &listing);
-    println!(
-        "cheapest preference shift that makes the listing relevant: {} (cost {:.6})",
-        fix.best().point,
-        fix.best().cost
-    );
-    let refit = engine.mqp_external(missed, &listing);
-    println!(
-        "…or rework the listing to {} (cost {:.6})",
-        refit.best().point,
-        refit.best().cost
-    );
+    let customer = Customer::External(missed.clone());
+    let q = listing.clone();
+    let ask = |question| engine.answer(&question).expect("a 2-d question");
+    if let Reply::Mwp(fix) = ask(Question::Mwp {
+        customer: customer.clone(),
+        q: q.clone(),
+    }) {
+        println!(
+            "cheapest preference shift that makes the listing relevant: {} (cost {:.6})",
+            fix.best().point,
+            fix.best().cost
+        );
+    }
+    if let Reply::Mqp(refit) = ask(Question::Mqp { customer, q }) {
+        println!(
+            "…or rework the listing to {} (cost {:.6})",
+            refit.best().point,
+            refit.best().cost
+        );
+    }
 }

@@ -3,7 +3,7 @@
 //! at the repository root.
 //!
 //! ```text
-//! cargo run --release -p wnrs-bench --bin cachebench [-- --smoke] [-- --write-mix]
+//! cargo run --release -p wnrs-bench --bin cachebench [-- --smoke]
 //! ```
 //!
 //! The read-only workloads model heavy production traffic (see
@@ -18,26 +18,21 @@
 //!
 //! The write-mix battery (`wnrs_data::workload::WriteMixWorkload`)
 //! interleaves the repeated stream with 0% / 1% / 5% / 10% inserts and
-//! deletes and replays each stream twice — once with the cache in
-//! whole-flush invalidation mode, once with surgical (incremental)
-//! invalidation — against a plain reference engine that applies the
-//! same writes and cross-checks every answer outside the clock. The
-//! reference timing doubles as the uncached baseline.
+//! deletes and replays each stream on a cached engine (surgical
+//! invalidation, recorded as `cached_incremental`) against a plain
+//! reference engine that applies the same writes and cross-checks every
+//! answer outside the clock. The reference timing doubles as the
+//! uncached baseline.
 //!
-//! Flags:
-//!
-//! * `--smoke` shrinks the dataset and stream for CI: same code path,
-//!   seconds instead of minutes, no acceptance bars, and no JSON write
-//!   (the committed summary stays a full-scale run).
-//! * `--write-mix` runs *only* the write-mix battery (no JSON write) —
-//!   combined with `--smoke` this is the CI gate for the surgical
-//!   invalidation path.
+//! `--smoke` shrinks the dataset and streams for CI: same code path,
+//! both batteries, seconds instead of minutes, no acceptance bars, and
+//! no JSON write (the committed summary stays a full-scale run).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 use wnrs_bench::{make_dataset, DatasetKind};
-use wnrs_core::{CacheConfig, InvalidationMode, WhyNotEngine};
+use wnrs_core::WhyNotEngine;
 use wnrs_data::workload::{RepeatedWorkload, StreamOp, WriteMixWorkload};
 use wnrs_rtree::bulk::bulk_load;
 use wnrs_rtree::{ItemId, RTreeConfig};
@@ -68,12 +63,11 @@ struct Case {
 fn main() {
     let obs = wnrs_bench::ObsSession::from_args();
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let write_mix_only = std::env::args().any(|a| a == "--write-mix");
-    run(smoke, write_mix_only);
+    run(smoke);
     obs.finish();
 }
 
-fn run(smoke: bool, write_mix_only: bool) {
+fn run(smoke: bool) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -93,73 +87,67 @@ fn run(smoke: bool, write_mix_only: bool) {
 
     let mut cases: Vec<Case> = Vec::new();
 
-    if !write_mix_only {
-        let plain = WhyNotEngine::new(points.clone());
-        let mut rng = StdRng::seed_from_u64(SEED);
-        let repeated = RepeatedWorkload::repeated(&tree, &points, distinct, repeats, W, &mut rng);
-        let mixed = RepeatedWorkload::mixed(&tree, &points, distinct, repeats, fresh, W, &mut rng);
-        for (name, workload) in [("repeated", &repeated), ("mixed", &mixed)] {
-            // A fresh cached engine per workload keeps the recorded
-            // hit/miss statistics per-case rather than cumulative.
-            let cached = WhyNotEngine::new(points.clone()).with_cache();
-            println!("== {name} workload: {} questions ==", workload.len());
-            let uncached_secs = drive(&plain, workload, &mut cases, name, "uncached", n, None);
-            let cached_secs = drive(
-                &cached,
-                workload,
-                &mut cases,
-                name,
-                "cached",
-                n,
-                Some(&plain),
-            );
-            println!(
-                "  uncached {uncached_secs:.3} s, cached {cached_secs:.3} s -> {:.2}x",
-                uncached_secs / cached_secs
-            );
-        }
+    let plain = WhyNotEngine::new(points.clone());
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let repeated = RepeatedWorkload::repeated(&tree, &points, distinct, repeats, W, &mut rng);
+    let mixed = RepeatedWorkload::mixed(&tree, &points, distinct, repeats, fresh, W, &mut rng);
+    for (name, workload) in [("repeated", &repeated), ("mixed", &mixed)] {
+        // A fresh cached engine per workload keeps the recorded
+        // hit/miss statistics per-case rather than cumulative.
+        let cached = WhyNotEngine::new(points.clone()).with_cache();
+        println!("== {name} workload: {} questions ==", workload.len());
+        let uncached_secs = drive(&plain, workload, &mut cases, name, "uncached", n, None);
+        let cached_secs = drive(
+            &cached,
+            workload,
+            &mut cases,
+            name,
+            "cached",
+            n,
+            Some(&plain),
+        );
+        println!(
+            "  uncached {uncached_secs:.3} s, cached {cached_secs:.3} s -> {:.2}x",
+            uncached_secs / cached_secs
+        );
     }
 
     write_mix_battery(smoke, n, &points, &tree, &mut cases);
 
-    // Smoke runs (and the focused --write-mix gate) exercise the code
-    // path but must not clobber the recorded full-scale summary.
-    if smoke || write_mix_only {
+    // Smoke runs exercise the code path but must not clobber the
+    // recorded full-scale summary.
+    if smoke {
         println!("[skipping BENCH_whynot_cache.json]");
-    } else {
-        write_summary(&cases, cores);
+        return;
     }
+    write_summary(&cases, cores);
 
-    if !smoke {
-        if !write_mix_only {
-            let repeated_speedup = speedup(&cases, "repeated");
-            assert!(
-                repeated_speedup >= 5.0,
-                "acceptance: repeated-workload speedup {repeated_speedup:.2}x is below the 5x bar"
-            );
-        }
-        let bar = |workload: &str, min_rate: f64| {
-            let rate = cases
-                .iter()
-                .find(|c| c.workload == workload && c.mode == "cached_incremental")
-                .and_then(|c| c.stats.as_ref())
-                .map(|s| s.hit_rate())
-                .unwrap_or(0.0);
-            assert!(
-                rate >= min_rate,
-                "acceptance: {workload} incremental hit rate {:.1}% is below the {:.0}% bar",
-                rate * 100.0,
-                min_rate * 100.0
-            );
-        };
-        bar("write_mix_1pct", 0.60);
-        bar("write_mix_10pct", 0.40);
-    }
+    let repeated_speedup = speedup(&cases, "repeated");
+    assert!(
+        repeated_speedup >= 5.0,
+        "acceptance: repeated-workload speedup {repeated_speedup:.2}x is below the 5x bar"
+    );
+    let bar = |workload: &str, min_rate: f64| {
+        let rate = cases
+            .iter()
+            .find(|c| c.workload == workload && c.mode == "cached_incremental")
+            .and_then(|c| c.stats.as_ref())
+            .map(|s| s.hit_rate())
+            .unwrap_or(0.0);
+        assert!(
+            rate >= min_rate,
+            "acceptance: {workload} incremental hit rate {:.1}% is below the {:.0}% bar",
+            rate * 100.0,
+            min_rate * 100.0
+        );
+    };
+    bar("write_mix_1pct", 0.60);
+    bar("write_mix_10pct", 0.40);
 }
 
-/// Runs every write-mix fraction through the cache in flush and
-/// incremental invalidation modes, recording an uncached baseline case
-/// (the reference engine's timing) per fraction.
+/// Runs every write-mix fraction through a cached engine with surgical
+/// invalidation, recording the uncached reference engine's timing as
+/// the baseline case per fraction.
 fn write_mix_battery(
     smoke: bool,
     n: usize,
@@ -176,50 +164,29 @@ fn write_mix_battery(
             "== {name}: {} questions, {} writes ==",
             stream.questions, stream.writes
         );
-        for (mode, config) in [
-            (
-                "cached_flush",
-                CacheConfig {
-                    invalidation: InvalidationMode::Flush,
-                    ..CacheConfig::default()
-                },
-            ),
-            ("cached_incremental", CacheConfig::default()),
-        ] {
-            let mut cached = WhyNotEngine::new(points.to_vec()).with_cache_config(config);
-            let mut reference = WhyNotEngine::new(points.to_vec());
-            let (cached_secs, ref_secs, answers) = drive_ops(&mut cached, &mut reference, &stream);
-            let stats = cached.cache_stats();
-            if let Some(stats) = &stats {
-                println!(
-                    "  [{mode}] {cached_secs:.3} s vs uncached {ref_secs:.3} s ({:.2}x), \
-                     {:.1}% hit rate, {} partial / {} full invalidations",
-                    ref_secs / cached_secs,
-                    stats.hit_rate() * 100.0,
-                    stats.partial_invalidations,
-                    stats.full_flushes
-                );
-            }
-            // One uncached baseline per fraction (the flush pass's
-            // reference timing) keeps the JSON free of duplicates.
-            if mode == "cached_flush" {
-                cases.push(Case {
-                    workload: name,
-                    mode: "uncached",
-                    n,
-                    questions: stream.questions,
-                    answers,
-                    seconds: ref_secs,
-                    stats: None,
-                });
-            }
+        let mode = "cached_incremental";
+        let mut cached = WhyNotEngine::new(points.to_vec()).with_cache();
+        let mut reference = WhyNotEngine::new(points.to_vec());
+        let (cached_secs, ref_secs, answers) = drive_ops(&mut cached, &mut reference, &stream);
+        let stats = cached.cache_stats();
+        if let Some(stats) = &stats {
+            println!(
+                "  [{mode}] {cached_secs:.3} s vs uncached {ref_secs:.3} s ({:.2}x), \
+                 {:.1}% hit rate, {} partial / {} full invalidations",
+                ref_secs / cached_secs,
+                stats.hit_rate() * 100.0,
+                stats.partial_invalidations,
+                stats.full_flushes
+            );
+        }
+        for (mode, seconds, stats) in [("uncached", ref_secs, None), (mode, cached_secs, stats)] {
             cases.push(Case {
                 workload: name,
                 mode,
                 n,
                 questions: stream.questions,
                 answers,
-                seconds: cached_secs,
+                seconds,
                 stats,
             });
         }

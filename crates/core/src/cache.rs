@@ -1,14 +1,16 @@
 //! Cross-query reuse layer: versioned memoization of per-customer
 //! dynamic skylines / anti-DDR regions and per-query-point results.
 //!
-//! Every [`crate::WhyNotEngine`] call recomputes the world from scratch
-//! by default, yet heavy why-not traffic is dominated by *repeated
-//! substructure*: W why-not questions against one query product share
-//! `RSL(q)` and `SR(q)`; `explain`/MWP/MQP against the same `(c_t, q)`
-//! pair share the culprit window `Λ`; and every safe region is an
-//! intersection of per-customer anti-DDRs whose underlying dynamic
-//! skylines never change until the dataset does. [`EngineCache`] stores
-//! each of these exactly once:
+//! Heavy why-not traffic is dominated by *repeated substructure*: W
+//! why-not questions against one query product share `RSL(q)` and
+//! `SR(q)`; `explain`/MWP/MQP against the same `(c_t, q)` pair share
+//! the culprit window `Λ`; and every safe region is an intersection of
+//! per-customer anti-DDRs whose underlying dynamic skylines never
+//! change until the dataset does. [`crate::WhyNotEngine`] writes each
+//! question once over private building blocks (one per entry family
+//! below); without a cache each block computes its value, and with one
+//! the same computation fills an [`EngineCache`] entry on a miss. The
+//! cache stores each building block exactly once:
 //!
 //! * **per customer** — the dynamic skyline `DSL(c)` (universe- and
 //!   shrink-independent) and the anti-DDR regions derived from it,
@@ -24,38 +26,34 @@
 //! The cache is *versioned*: a monotonically increasing generation
 //! counter is bumped by every dataset mutation that goes through the
 //! engine ([`crate::WhyNotEngine::insert`] /
-//! [`crate::WhyNotEngine::delete`]). What happens to the maps depends
-//! on [`InvalidationMode`]:
-//!
-//! * [`InvalidationMode::Flush`] — the PR 5 behaviour: every map is
-//!   eagerly cleared in the same critical section as the bump.
-//! * [`InvalidationMode::Incremental`] (the default) — **surgical
-//!   invalidation**: the write of product `p` evicts only the entries
-//!   it can actually perturb, decided per map by exact dominance
-//!   tests against dependency metadata recorded at fill time:
-//!   `DSL(c)` falls on a delete of a member or an unshielded insert;
-//!   anti-DDRs fall with their customer; `Λ(anchor, c)` is *repaired
-//!   in place* — a window result changes under a write in exactly one
-//!   way, gaining `p` iff it dominates the anchor w.r.t. `c` or losing
-//!   the victim's tuple — so it is never evicted at all; `RSL(q)` falls iff a
-//!   member is dominated out, the write joins, or (on delete) a
-//!   customer the victim alone was shielding joins — an exact test,
-//!   since joiners are confined to the victim's own reverse skyline;
-//!   exact `SR(q)` falls iff a recorded
-//!   reverse-skyline dependency is affected; MWQ answers fall iff a
-//!   dependency is affected, the membership moved, or the write
-//!   touches the *cached optimum itself* — an insert that dominates
-//!   the recorded `q*` w.r.t. the repaired `c*` (making the repair
-//!   infeasible; a still-feasible optimum stays optimal because
-//!   inserts only add constraints), or a delete whose
-//!   [`wnrs_geometry::release_region`] against the safe region's
-//!   bounding box admits a repair at or below the cached cost
-//!   (deletes only remove constraints, so the optimum stands unless
-//!   the victim was blocking something at least as cheap). Tests the cache
-//!   cannot decide from metadata alone are delegated to the engine
-//!   through [`WriteProbes`] (one memoised window probe per
-//!   customer/query), and a per-write probe budget falls back to the
-//!   epoch flush so pathological writes stay cheap.
+//! [`crate::WhyNotEngine::delete`]), and the write is handled by
+//! **surgical invalidation**: the write of product `p` evicts only the
+//! entries it can actually perturb, decided per map by exact dominance
+//! tests against dependency metadata recorded at fill time:
+//! `DSL(c)` falls on a delete of a member or an unshielded insert;
+//! anti-DDRs fall with their customer; `Λ(anchor, c)` is *repaired
+//! in place* — a window result changes under a write in exactly one
+//! way, gaining `p` iff it dominates the anchor w.r.t. `c` or losing
+//! the victim's tuple — so it is never evicted at all; `RSL(q)` falls iff a
+//! member is dominated out, the write joins, or (on delete) a
+//! customer the victim alone was shielding joins — an exact test,
+//! since joiners are confined to the victim's own reverse skyline;
+//! exact `SR(q)` falls iff a recorded
+//! reverse-skyline dependency is affected; MWQ answers fall iff a
+//! dependency is affected, the membership moved, or the write
+//! touches the *cached optimum itself* — an insert that dominates
+//! the recorded `q*` w.r.t. the repaired `c*` (making the repair
+//! infeasible; a still-feasible optimum stays optimal because
+//! inserts only add constraints), or a delete whose
+//! [`wnrs_geometry::release_region`] against the safe region's
+//! bounding box admits a repair at or below the cached cost
+//! (deletes only remove constraints, so the optimum stands unless
+//! the victim was blocking something at least as cheap). Tests the cache
+//! cannot decide from metadata alone are delegated to the engine
+//! through [`WriteProbes`] (one memoised window probe per
+//! customer/query), and a per-write probe budget falls back to the
+//! epoch flush so pathological writes stay cheap. Universe growth and
+//! tombstone compaction flush every map ([`EngineCache::invalidate`]).
 //!
 //! Either way the bump and the evictions happen in one critical
 //! section under the state's write lock, and mutations require `&mut`
@@ -124,19 +122,7 @@ pub type PairKey = (CoordKey, u32);
 /// fingerprint)` — see [`crate::ApproxDslStore::fingerprint`].
 pub type SrApproxKey = (CoordKey, u64);
 
-/// How the cache reacts to dataset writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InvalidationMode {
-    /// Every write flushes every map (the pre-surgical behaviour; kept
-    /// as the honest baseline for the write-mix benchmarks).
-    Flush,
-    /// Writes evict only the entries they can perturb, guided by
-    /// recorded dependency sets and [`WriteProbes`] membership tests.
-    #[default]
-    Incremental,
-}
-
-/// Capacity limits and write-handling policy for the cache's maps.
+/// Capacity limits and the write-probe budget of the cache's maps.
 /// Overflowing a map flushes it (an "epoch flush"), counting the
 /// dropped entries as evictions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,8 +136,6 @@ pub struct CacheConfig {
     pub lambda_capacity: usize,
     /// Max entries in each per-customer map (`DSL`, anti-DDR).
     pub customer_capacity: usize,
-    /// Write-handling policy (see [`InvalidationMode`]).
-    pub invalidation: InvalidationMode,
     /// Surgical invalidation's per-write budget of index probes
     /// (affected-customer / membership window tests). A write whose
     /// blast radius needs more probes than this falls back to a full
@@ -165,7 +149,6 @@ impl Default for CacheConfig {
             query_capacity: 1024,
             lambda_capacity: 8192,
             customer_capacity: 65_536,
-            invalidation: InvalidationMode::Incremental,
             write_probe_budget: 512,
         }
     }
@@ -342,7 +325,7 @@ struct CacheState {
     generation: u64,
     dsl: HashMap<u32, SharedItems>,
     /// Lazily materialised k-sampled DSLs, keyed `(customer id, k)`.
-    dsl_sample: HashMap<(u32, u32), Arc<DslSampleEntry>>,
+    dsl_sample: HashMap<(u32, usize), Arc<DslSampleEntry>>,
     addr: HashMap<AddrKey, Arc<Region>>,
     rsl: HashMap<CoordKey, RslEntry>,
     lambda: HashMap<PairKey, LambdaEntry>,
@@ -461,10 +444,9 @@ impl EngineCache {
     }
 
     /// Bumps the generation and flushes every map in one critical
-    /// section — the engine's mutation path under
-    /// [`InvalidationMode::Flush`], and surgical invalidation's
-    /// fallback for universe growth, compaction and over-budget
-    /// writes. Entries filled under the old generation can never be
+    /// section — the engine's mutation path for universe growth and
+    /// compaction, and surgical invalidation's fallback for
+    /// over-budget writes. Entries filled under the old generation can never be
     /// observed afterwards.
     pub fn invalidate(&self) {
         let mut state = self.write_state();
@@ -796,7 +778,7 @@ impl EngineCache {
     /// sample size `k`, if present. A hit additionally counts towards
     /// the `dsl_lazy_hits` observability counter.
     #[must_use]
-    pub fn get_dsl_sample(&self, id: u32, k: u32) -> Option<Arc<DslSampleEntry>> {
+    pub fn get_dsl_sample(&self, id: u32, k: usize) -> Option<Arc<DslSampleEntry>> {
         let state = self.read_state();
         let found = self.counted(
             self.guarded(&state, state.dsl_sample.get(&(id, k)))
@@ -814,7 +796,7 @@ impl EngineCache {
         &self,
         expected_gen: u64,
         id: u32,
-        k: u32,
+        k: usize,
         entry: DslSampleEntry,
     ) -> Arc<DslSampleEntry> {
         let shared = Arc::new(entry);

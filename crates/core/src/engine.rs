@@ -1,9 +1,16 @@
 //! The [`WhyNotEngine`] façade: dataset + index + cost model + all four
 //! why-not answering techniques behind one API.
+//!
+//! Each question is written once, over private building-block lookups
+//! (dynamic skyline, anti-DDR, DSL sample, culprit window, and the
+//! reverse-skyline, safe-region and MWQ-answer memos). Without a cache a
+//! lookup computes its value; with [`WhyNotEngine::with_cache`] the same
+//! computation fills a [`EngineCache`] entry on a miss, so cached and
+//! uncached answers are bit-identical by construction.
 
 use crate::cache::{
-    CacheConfig, CacheStats, DslSampleEntry, EngineCache, InvalidationMode, SharedCulprits,
-    SharedItems, WriteEvent, WriteKind, WriteProbes,
+    CacheConfig, CacheStats, DslSampleEntry, EngineCache, SharedCulprits, SharedItems, WriteEvent,
+    WriteKind, WriteProbes,
 };
 use crate::error::EngineError;
 use crate::explain::{explain, Explanation};
@@ -13,11 +20,11 @@ use crate::mwq::{modify_both, modify_both_parts, MwqAnswer};
 use crate::question::{Customer, Question, QuestionError, Reply};
 use crate::safe_region::{
     anti_ddr_from_dsl, approx_anti_ddr_of_sample, approx_safe_region_with, entry_fingerprint,
-    exact_safe_region_by, exact_safe_region_with, ApproxDslStore,
+    exact_safe_region_by, ApproxDslStore,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
-use wnrs_geometry::parallel::{intersect_all, map_range_chunked, map_slice};
+use wnrs_geometry::parallel::{intersect_all, map_slice};
 use wnrs_geometry::{
     dominates_dyn, f64_key, release_region, CoordKey, CostModel, Parallelism, Point, Rect, Region,
 };
@@ -227,21 +234,13 @@ impl WhyNotEngine {
 
     /// Enables the cross-query cache with default capacities (see
     /// [`CacheConfig`]). Cached answers are bit-identical to uncached
-    /// ones; dataset mutations ([`WhyNotEngine::insert`] /
-    /// [`WhyNotEngine::delete`]) invalidate surgically by default —
-    /// only the entries a write can perturb are evicted (set
-    /// [`InvalidationMode::Flush`] via
-    /// [`WhyNotEngine::with_cache_config`] for the old whole-cache
-    /// flush).
+    /// ones: every question runs the same building blocks, which the
+    /// cache memoises. Dataset mutations ([`WhyNotEngine::insert`] /
+    /// [`WhyNotEngine::delete`]) invalidate surgically — only the
+    /// entries a write can perturb are evicted.
     #[must_use]
-    pub fn with_cache(self) -> Self {
-        self.with_cache_config(CacheConfig::default())
-    }
-
-    /// Enables the cross-query cache with explicit capacities.
-    #[must_use]
-    pub fn with_cache_config(mut self, config: CacheConfig) -> Self {
-        self.cache = Some(EngineCache::new(config));
+    pub fn with_cache(mut self) -> Self {
+        self.cache = Some(EngineCache::new(CacheConfig::default()));
         self
     }
 
@@ -263,10 +262,9 @@ impl WhyNotEngine {
     /// returns its id. The cost model stays as fixed at construction
     /// (weights are part of the query semantics, not the data). The
     /// cache, if enabled, is invalidated before the call returns —
-    /// surgically under [`InvalidationMode::Incremental`] (only entries
-    /// the write can perturb are evicted), wholesale when the point
-    /// grows the universe (memoised anti-DDR clipping would go stale)
-    /// or under [`InvalidationMode::Flush`].
+    /// surgically (only entries the write can perturb are evicted), or
+    /// wholesale when the point grows the universe (memoised anti-DDR
+    /// clipping would go stale).
     ///
     /// # Panics
     ///
@@ -290,7 +288,7 @@ impl WhyNotEngine {
     /// The universe never shrinks — anti-DDR clipping stays valid for
     /// every remaining point. Returns `false` when `id` is out of range
     /// or already deleted. The cache, if enabled, is invalidated
-    /// (surgically under [`InvalidationMode::Incremental`]).
+    /// surgically.
     ///
     /// When tombstones outnumber live points ([`WhyNotEngine::live_len`]
     /// falls below half of [`WhyNotEngine::len`]), the id space is
@@ -338,14 +336,14 @@ impl WhyNotEngine {
     }
 
     /// Routes a dataset write to the cache's invalidation machinery:
-    /// a full flush under [`InvalidationMode::Flush`] or when
-    /// `force_flush` (universe growth) demands it, otherwise surgical
-    /// invalidation driven by index-backed [`WriteProbes`].
+    /// a full flush when `force_flush` (universe growth) demands it,
+    /// otherwise surgical invalidation driven by index-backed
+    /// [`WriteProbes`].
     fn invalidate_cache_write(&self, kind: WriteKind, id: ItemId, force_flush: bool) {
         let Some(cache) = &self.cache else {
             return;
         };
-        if force_flush || cache.config().invalidation == InvalidationMode::Flush {
+        if force_flush {
             cache.invalidate();
             return;
         }
@@ -423,93 +421,141 @@ impl WhyNotEngine {
     }
 
     // ------------------------------------------------------------------
-    // Cached building blocks
+    // Building blocks: each runs one compute closure, returned as is
+    // without a cache; with one, a hit is served and a miss fills under
+    // the generation read before the lookup.
     // ------------------------------------------------------------------
 
-    /// The memoised dynamic skyline of customer `id` (own tuple
-    /// excluded). The DSL depends only on the dataset, so one entry
-    /// serves every universe and shrink.
-    fn dsl_for(&self, cache: &EngineCache, id: ItemId) -> SharedItems {
+    /// The dynamic skyline of customer `id` (own tuple excluded). It
+    /// depends only on the dataset, so one entry serves every universe
+    /// and shrink.
+    fn dsl(&self, id: ItemId) -> SharedItems {
+        let compute = || bbs_dynamic_skyline_excluding(&self.tree, self.point(id), Some(id));
+        let Some(cache) = &self.cache else {
+            return Arc::new(compute());
+        };
         let expected_gen = cache.generation();
         if let Some(dsl) = cache.get_dsl(id.0) {
             return dsl;
         }
-        let dsl = bbs_dynamic_skyline_excluding(&self.tree, self.point(id), Some(id));
-        cache.put_dsl(expected_gen, id.0, dsl)
+        cache.put_dsl(expected_gen, id.0, compute())
     }
 
-    /// The memoised anti-DDR of customer `id` for a given universe and
-    /// shrink, built from the memoised DSL on a miss.
-    fn anti_ddr_cached(
-        &self,
-        cache: &EngineCache,
-        id: ItemId,
-        universe: &Rect,
-        shrink: f64,
-    ) -> Arc<Region> {
+    /// The anti-DDR of customer `id` for a given universe and shrink,
+    /// built from [`WhyNotEngine::dsl`].
+    fn anti_ddr(&self, id: ItemId, universe: &Rect, shrink: f64) -> Arc<Region> {
+        let compute = || {
+            let _span = wnrs_obs::span!("anti_ddr");
+            anti_ddr_from_dsl(self.point(id), &self.dsl(id), universe, shrink)
+        };
+        let Some(cache) = &self.cache else {
+            return Arc::new(compute());
+        };
         let key = (id.0, CoordKey::of_rect(universe), f64_key(shrink));
         let expected_gen = cache.generation();
         if let Some(region) = cache.get_addr(&key) {
             return region;
         }
-        let _span = wnrs_obs::span!("anti_ddr");
-        let dsl = self.dsl_for(cache, id);
-        let region = anti_ddr_from_dsl(self.point(id), &dsl, universe, shrink);
-        cache.put_addr(expected_gen, key, region)
+        cache.put_addr(expected_gen, key, compute())
     }
 
-    /// The lazily materialised k-sampled DSL of customer `id`, memoised
-    /// through the cache. On a miss the sample is computed on demand
-    /// with the same kernel the eager offline
-    /// [`ApproxDslStore::build`] runs per item
+    /// The k-sampled DSL of customer `id`, computed with the same kernel
+    /// the eager offline [`ApproxDslStore::build`] runs per item
     /// ([`wnrs_skyline::approx::approx_dsl_sample_into`], own tuple
     /// excluded), so the entry's coordinates and
     /// [`crate::safe_region::entry_fingerprint`] are bit-identical to
     /// the corresponding store slice.
-    fn dsl_sample_for(&self, cache: &EngineCache, id: ItemId, k: usize) -> Arc<DslSampleEntry> {
-        let expected_gen = cache.generation();
-        if let Some(entry) = cache.get_dsl_sample(id.0, k as u32) {
-            return entry;
-        }
-        wnrs_obs::record(wnrs_obs::Counter::DslLazyMaterializations);
-        let mut scratch = ApproxDslScratch::new();
-        let sample = approx_dsl_sample_into(
-            &self.tree,
-            self.point(id).coords(),
-            Some(id),
-            k,
-            &mut scratch,
-        );
-        let coords = sample.coords().to_vec();
-        let fingerprint = entry_fingerprint(k, self.dim(), &coords);
-        cache.put_dsl_sample(
-            expected_gen,
-            id.0,
-            k as u32,
+    fn dsl_sample(&self, id: ItemId, k: usize) -> Arc<DslSampleEntry> {
+        let compute = || {
+            let mut scratch = ApproxDslScratch::new();
+            let c = self.point(id).coords();
+            let coords = approx_dsl_sample_into(&self.tree, c, Some(id), k, &mut scratch)
+                .coords()
+                .to_vec();
+            let fingerprint = entry_fingerprint(k, self.dim(), &coords);
             DslSampleEntry {
                 coords,
                 fingerprint,
-            },
-        )
+            }
+        };
+        let Some(cache) = &self.cache else {
+            return Arc::new(compute());
+        };
+        let expected_gen = cache.generation();
+        if let Some(entry) = cache.get_dsl_sample(id.0, k) {
+            return entry;
+        }
+        wnrs_obs::record(wnrs_obs::Counter::DslLazyMaterializations);
+        cache.put_dsl_sample(expected_gen, id.0, k, compute())
     }
 
-    /// The memoised culprit window `Λ = window(c_t, at)` for customer
-    /// `id`, with the window anchored at `at` (`q` itself, or a
-    /// safe-region corner during MWQ's C2 repairs).
-    fn lambda_for(&self, cache: &EngineCache, id: ItemId, at: &Point) -> SharedCulprits {
+    /// The culprit window `Λ = window(c_t, at)` of customer `id`, with
+    /// the window anchored at `at` (`q` itself, or a safe-region corner
+    /// during MWQ's C2 repairs).
+    fn lambda(&self, id: ItemId, at: &Point) -> SharedCulprits {
+        let compute = || {
+            let mut scratch = WindowScratch::new();
+            into_ok(window_query_with(
+                &self.tree,
+                self.point(id),
+                at,
+                Some(id),
+                &mut scratch,
+            ))
+        };
+        let Some(cache) = &self.cache else {
+            return Arc::new(compute());
+        };
         let key = (CoordKey::of_point(at), id.0);
         let expected_gen = cache.generation();
         if let Some(lambda) = cache.get_lambda(&key) {
             return lambda;
         }
-        let lambda = into_ok(window_query_with(
-            &self.tree,
-            self.point(id),
-            at,
-            Some(id),
-            &mut WindowScratch::new(),
-        ));
-        cache.put_lambda(expected_gen, key, at.clone(), lambda)
+        cache.put_lambda(expected_gen, key, at.clone(), compute())
+    }
+
+    /// The approximate safe region of `q` over `rsl`, memoised under
+    /// `fingerprint` (an eager store's, or the combined fingerprint of
+    /// the members' lazy samples); a hit also needs the same member ids.
+    fn sr_approx(
+        &self,
+        q: &Point,
+        fingerprint: u64,
+        rsl: &[(ItemId, Point)],
+        compute: impl FnOnce() -> Region,
+    ) -> Region {
+        let Some(cache) = &self.cache else {
+            return compute();
+        };
+        let key = (CoordKey::of_point(q), fingerprint);
+        let rsl_ids = ids_of(rsl);
+        let expected_gen = cache.generation();
+        if let Some(entry) = cache.get_sr_approx(&key, &rsl_ids) {
+            return entry.region.clone();
+        }
+        cache
+            .put_sr_approx(expected_gen, key, rsl_ids, compute())
+            .region
+            .clone()
+    }
+
+    /// MWQ for customer `id` against the full-RSL `SR(q)`, memoised per
+    /// `(q, customer)` pair with the members' ids and the region's
+    /// bounding box as its dependencies — safe here (unlike plain
+    /// [`WhyNotEngine::mwq`]) because the region is known to be `SR(q)`.
+    fn mwq_answer(&self, id: ItemId, q: &Point, rsl: &[(ItemId, Point)], sr: &Region) -> MwqAnswer {
+        let compute = || self.mwq(id, q, sr);
+        let Some(cache) = &self.cache else {
+            return compute();
+        };
+        let key = (CoordKey::of_point(q), id.0);
+        let expected_gen = cache.generation();
+        if let Some(ans) = cache.get_mwq(&key) {
+            return (*ans).clone();
+        }
+        let sr_bb = sr.bounding().unwrap_or_else(|| Rect::degenerate(q.clone()));
+        let ans = cache.put_mwq(expected_gen, key, q.clone(), ids_of(rsl), sr_bb, compute());
+        (*ans).clone()
     }
 
     // ------------------------------------------------------------------
@@ -518,16 +564,16 @@ impl WhyNotEngine {
 
     /// The reverse skyline of `q` (BBRS), sorted by item id.
     pub fn reverse_skyline(&self, q: &Point) -> Vec<(ItemId, Point)> {
-        if let Some(cache) = &self.cache {
-            let q_key = CoordKey::of_point(q);
-            let expected_gen = cache.generation();
-            if let Some(rsl) = cache.get_rsl(&q_key) {
-                return (*rsl).clone();
-            }
-            let rsl = bbrs_reverse_skyline(&self.tree, q);
-            return (*cache.put_rsl(expected_gen, q_key, q.clone(), rsl)).clone();
+        let compute = || bbrs_reverse_skyline(&self.tree, q);
+        let Some(cache) = &self.cache else {
+            return compute();
+        };
+        let q_key = CoordKey::of_point(q);
+        let expected_gen = cache.generation();
+        if let Some(rsl) = cache.get_rsl(&q_key) {
+            return (*rsl).clone();
         }
-        bbrs_reverse_skyline(&self.tree, q)
+        (*cache.put_rsl(expected_gen, q_key, q.clone(), compute())).clone()
     }
 
     /// Whether dataset customer `id` is in `RSL(q)`.
@@ -537,13 +583,10 @@ impl WhyNotEngine {
 
     /// Aspect 1: why is customer `id` missing from `RSL(q)`?
     pub fn explain(&self, id: ItemId, q: &Point) -> Explanation {
-        if let Some(cache) = &self.cache {
-            let _span = wnrs_obs::span!("explain");
-            return Explanation {
-                culprits: self.lambda_for(cache, id, q).to_items(),
-            };
+        let _span = wnrs_obs::span!("explain");
+        Explanation {
+            culprits: self.lambda(id, q).to_items(),
         }
-        into_ok(explain(&self.tree, self.point(id), q, Some(id)))
     }
 
     /// Algorithm 1 (MWP) for dataset customer `id`.
@@ -567,23 +610,13 @@ impl WhyNotEngine {
     /// assert!(ans.candidates[0].verified);
     /// ```
     pub fn mwp(&self, id: ItemId, q: &Point) -> MwpAnswer {
-        if let Some(cache) = &self.cache {
-            let _span = wnrs_obs::span!("mwp");
-            let lambda = self.lambda_for(cache, id, q);
-            return into_ok(modify_why_not_point_with_lambda(
-                &self.tree,
-                self.point(id),
-                q,
-                &lambda,
-                Some(id),
-                &self.cost,
-                self.eps,
-            ));
-        }
-        into_ok(modify_why_not_point(
+        let _span = wnrs_obs::span!("mwp");
+        let lambda = self.lambda(id, q);
+        into_ok(modify_why_not_point_with_lambda(
             &self.tree,
             self.point(id),
             q,
+            &lambda,
             Some(id),
             &self.cost,
             self.eps,
@@ -612,23 +645,13 @@ impl WhyNotEngine {
     /// assert!(ans.best_cost() > 0.0);
     /// ```
     pub fn mqp(&self, id: ItemId, q: &Point) -> MqpAnswer {
-        if let Some(cache) = &self.cache {
-            let _span = wnrs_obs::span!("mqp");
-            let lambda = self.lambda_for(cache, id, q);
-            return into_ok(modify_query_point_with_lambda(
-                &self.tree,
-                self.point(id),
-                q,
-                &lambda,
-                Some(id),
-                &self.cost,
-                self.eps,
-            ));
-        }
-        into_ok(modify_query_point(
+        let _span = wnrs_obs::span!("mqp");
+        let lambda = self.lambda(id, q);
+        into_ok(modify_query_point_with_lambda(
             &self.tree,
             self.point(id),
             q,
+            &lambda,
             Some(id),
             &self.cost,
             self.eps,
@@ -662,35 +685,36 @@ impl WhyNotEngine {
         self.safe_region_for(q, &rsl)
     }
 
-    /// Algorithm 3 against a precomputed reverse skyline.
+    /// Algorithm 3 against a precomputed reverse skyline: the
+    /// intersection of the members' anti-DDRs, each member resolved by
+    /// its id (own tuple excluded).
     pub fn safe_region_for(&self, q: &Point, rsl: &[(ItemId, Point)]) -> Region {
-        if let Some(cache) = &self.cache {
-            let q_key = CoordKey::of_point(q);
-            let rsl_ids: Vec<u32> = rsl.iter().map(|(id, _)| id.0).collect();
-            let expected_gen = cache.generation();
-            if let Some(entry) = cache.get_sr_exact(&q_key, &rsl_ids) {
-                return entry.region.clone();
-            }
+        let compute = || {
             let _span = wnrs_obs::span!("sr_exact");
             let universe = self.universe_for(q);
-            let sr = into_ok(exact_safe_region_by(
+            into_ok(exact_safe_region_by(
                 rsl,
                 &universe,
                 &self.parallelism,
-                |(id, _)| Ok((*self.anti_ddr_cached(cache, *id, &universe, 0.0)).clone()),
-            ));
-            return cache
-                .put_sr_exact(expected_gen, q_key, rsl_ids, sr)
-                .region
-                .clone();
+                |(id, _)| {
+                    let region = self.anti_ddr(*id, &universe, 0.0);
+                    Ok(Arc::try_unwrap(region).unwrap_or_else(|shared| (*shared).clone()))
+                },
+            ))
+        };
+        let Some(cache) = &self.cache else {
+            return compute();
+        };
+        let q_key = CoordKey::of_point(q);
+        let rsl_ids = ids_of(rsl);
+        let expected_gen = cache.generation();
+        if let Some(entry) = cache.get_sr_exact(&q_key, &rsl_ids) {
+            return entry.region.clone();
         }
-        into_ok(exact_safe_region_with(
-            &self.tree,
-            rsl,
-            &self.universe_for(q),
-            true,
-            &self.parallelism,
-        ))
+        cache
+            .put_sr_exact(expected_gen, q_key, rsl_ids, compute())
+            .region
+            .clone()
     }
 
     /// Builds the offline approximate-DSL store (Section VI-B.1).
@@ -705,20 +729,9 @@ impl WhyNotEngine {
         rsl: &[(ItemId, Point)],
         store: &ApproxDslStore,
     ) -> Region {
-        if let Some(cache) = &self.cache {
-            let key = (CoordKey::of_point(q), store.fingerprint());
-            let rsl_ids: Vec<u32> = rsl.iter().map(|(id, _)| id.0).collect();
-            let expected_gen = cache.generation();
-            if let Some(entry) = cache.get_sr_approx(&key, &rsl_ids) {
-                return entry.region.clone();
-            }
-            let sr = approx_safe_region_with(store, rsl, &self.universe_for(q), &self.parallelism);
-            return cache
-                .put_sr_approx(expected_gen, key, rsl_ids, sr)
-                .region
-                .clone();
-        }
-        approx_safe_region_with(store, rsl, &self.universe_for(q), &self.parallelism)
+        self.sr_approx(q, store.fingerprint(), rsl, || {
+            approx_safe_region_with(store, rsl, &self.universe_for(q), &self.parallelism)
+        })
     }
 
     /// The approximate safe region of `q` from **lazily materialised**
@@ -738,76 +751,38 @@ impl WhyNotEngine {
     /// Panics if `k == 0`.
     pub fn approx_safe_region_lazy(&self, q: &Point, rsl: &[(ItemId, Point)], k: usize) -> Region {
         assert!(k > 0, "sample size k must be positive");
-        let universe = self.universe_for(q);
-        if let Some(cache) = &self.cache {
-            let entries: Vec<Arc<DslSampleEntry>> = rsl
-                .iter()
-                .map(|(id, _)| self.dsl_sample_for(cache, *id, k))
-                .collect();
-            // Content-addressed like the eager path, but over the
-            // *members'* sample fingerprints (the lazy layer has no
-            // whole-store fingerprint) — plus a tag keeping the key
-            // space disjoint from eager store fingerprints.
-            let key = (
-                CoordKey::of_point(q),
-                combined_sample_fingerprint(k, &entries),
-            );
-            let rsl_ids: Vec<u32> = rsl.iter().map(|(id, _)| id.0).collect();
-            let expected_gen = cache.generation();
-            if let Some(entry) = cache.get_sr_approx(&key, &rsl_ids) {
-                return entry.region.clone();
-            }
+        let samples = map_slice(rsl, &self.parallelism, |(id, _)| self.dsl_sample(*id, k));
+        // Content-addressed like the eager path, but over the members'
+        // sample fingerprints (the lazy layer has no whole-store
+        // fingerprint) — plus a tag keeping the key space disjoint from
+        // eager store fingerprints.
+        let fingerprint = combined_sample_fingerprint(k, &samples);
+        self.sr_approx(q, fingerprint, rsl, || {
             let _span = wnrs_obs::span!("sr_approx");
-            let pairs: Vec<(&Point, &DslSampleEntry)> = rsl
+            let universe = self.universe_for(q);
+            let members: Vec<(&Point, &DslSampleEntry)> = rsl
                 .iter()
-                .zip(&entries)
-                .map(|((_, c), e)| (c, e.as_ref()))
+                .zip(&samples)
+                .map(|((_, c), sample)| (c, sample.as_ref()))
                 .collect();
-            let regions = map_slice(&pairs, &self.parallelism, |(c, e)| {
-                approx_anti_ddr_of_sample(&e.coords, c, &universe)
+            let regions = map_slice(&members, &self.parallelism, |(c, sample)| {
+                approx_anti_ddr_of_sample(&sample.coords, c, &universe)
             });
-            let sr = intersect_all(regions, &self.parallelism)
-                .unwrap_or_else(|| Region::from_rect(universe.clone()));
-            return cache
-                .put_sr_approx(expected_gen, key, rsl_ids, sr)
-                .region
-                .clone();
-        }
-        // Cache disabled: still lazy (only RSL members sampled), just
-        // unmemoised. One scratch per worker chunk, as in the eager
-        // build.
-        let _span = wnrs_obs::span!("sr_approx");
-        let regions: Vec<Region> = map_range_chunked(rsl.len(), &self.parallelism, |range| {
-            let mut scratch = ApproxDslScratch::new();
-            let mut chunk = Vec::with_capacity(range.len());
-            for i in range {
-                let (id, c) = &rsl[i];
-                let sample =
-                    approx_dsl_sample_into(&self.tree, c.coords(), Some(*id), k, &mut scratch);
-                chunk.push(approx_anti_ddr_of_sample(sample.coords(), c, &universe));
-            }
-            chunk
+            intersect_all(regions, &self.parallelism).unwrap_or_else(|| Region::from_rect(universe))
         })
-        .into_iter()
-        .flatten()
-        .collect();
-        intersect_all(regions, &self.parallelism).unwrap_or_else(|| Region::from_rect(universe))
     }
 
-    /// The lazily materialised k-sampled DSL entry of customer `id`
-    /// (computing and memoising it on first access), or `None` when the
-    /// cache is disabled. Exposed so equivalence tests can compare
-    /// lazy entries against eager [`ApproxDslStore`] slices fingerprint
-    /// for fingerprint.
+    /// The lazily materialised k-sampled DSL entry of customer `id`:
+    /// memoised when the cache is enabled, computed afresh otherwise.
+    /// Exposed so equivalence tests can compare lazy entries against
+    /// eager [`ApproxDslStore`] slices fingerprint for fingerprint.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
-    pub fn lazy_dsl_sample(&self, id: ItemId, k: usize) -> Option<Arc<DslSampleEntry>> {
+    pub fn lazy_dsl_sample(&self, id: ItemId, k: usize) -> Arc<DslSampleEntry> {
         assert!(k > 0, "sample size k must be positive");
-        self.cache
-            .as_ref()
-            .map(|cache| self.dsl_sample_for(cache, id, k))
+        self.dsl_sample(id, k)
     }
 
     /// Algorithm 4 (MWQ) for dataset customer `id`, against a
@@ -833,66 +808,29 @@ impl WhyNotEngine {
     /// assert!(ans.cost <= engine.mwp(ItemId(0), &q).best_cost() + 1e-9);
     /// ```
     pub fn mwq(&self, id: ItemId, q: &Point, sr: &Region) -> MwqAnswer {
-        if let Some(cache) = &self.cache {
-            let _span = wnrs_obs::span!("mwq");
-            let universe = self.universe_for(q);
-            let addr = self.anti_ddr_cached(cache, id, &universe, self.eps);
-            return modify_both_parts(sr, self.point(id), q, &self.cost, &addr, self.eps, |at| {
-                let _span = wnrs_obs::span!("mwp");
-                let lambda = self.lambda_for(cache, id, at);
-                into_ok(modify_why_not_point_with_lambda(
-                    &self.tree,
-                    self.point(id),
-                    at,
-                    &lambda,
-                    Some(id),
-                    &self.cost,
-                    self.eps,
-                ))
-            });
-        }
-        into_ok(modify_both(
-            &self.tree,
-            sr,
-            self.point(id),
-            q,
-            Some(id),
-            &self.cost,
-            &self.universe_for(q),
-            self.eps,
-        ))
+        let _span = wnrs_obs::span!("mwq");
+        // The ε-shrunk anti-DDR: see `modify_both` for why both regions
+        // are shrunk by the verification nudge.
+        let addr = self.anti_ddr(id, &self.universe_for(q), self.eps);
+        let (c, cost, eps) = (self.point(id), &self.cost, self.eps);
+        modify_both_parts(sr, c, q, cost, &addr, eps, |at| self.mwp(id, at))
     }
 
     /// End-to-end convenience: compute the safe region and run MWQ.
     /// With the cache enabled the full answer is memoised per
-    /// `(q, customer)` pair — safe here (unlike plain [`WhyNotEngine::mwq`])
-    /// because the safe region is known to be the full-RSL `SR(q)`.
+    /// `(q, customer)` pair.
     pub fn mwq_full(&self, id: ItemId, q: &Point) -> (Region, MwqAnswer) {
         let rsl = self.reverse_skyline(q);
         let sr = self.safe_region_for(q, &rsl);
-        if let Some(cache) = &self.cache {
-            let key = (CoordKey::of_point(q), id.0);
-            let expected_gen = cache.generation();
-            if let Some(ans) = cache.get_mwq(&key) {
-                return (sr, (*ans).clone());
-            }
-            let ans = self.mwq(id, q, &sr);
-            let deps: Vec<u32> = rsl.iter().map(|(m, _)| m.0).collect();
-            let sr_bb = sr.bounding().unwrap_or_else(|| Rect::degenerate(q.clone()));
-            return (
-                sr,
-                (*cache.put_mwq(expected_gen, key, q.clone(), deps, sr_bb, ans)).clone(),
-            );
-        }
-        let ans = self.mwq(id, q, &sr);
+        let ans = self.mwq_answer(id, q, &rsl, &sr);
         (sr, ans)
     }
 
     /// Answers `question`: the one table mapping a question to this
     /// engine's techniques, after [`Question::check`] and the id check.
-    /// A customer named by id goes through the cached id methods, one
-    /// named by point through the `NodeSource`-generic functions the
-    /// paged engine calls. Approximate safe regions come from
+    /// A customer named by id goes through the id methods (and so
+    /// through the cache, when enabled), one named by point through the
+    /// `NodeSource`-generic functions the paged engine calls. Approximate safe regions come from
     /// [`WhyNotEngine::approx_safe_region_lazy`].
     ///
     /// # Errors
@@ -958,40 +896,9 @@ impl WhyNotEngine {
     // ------------------------------------------------------------------
 
     /// Answers Aspect 1 for many customers against one query product,
-    /// fanning out across the engine's [`Parallelism`] policy. With the
-    /// cache enabled each `(q, customer)` culprit window is memoised;
-    /// without it, per-chunk scratch keeps the loop allocation-light.
+    /// fanning out across the engine's [`Parallelism`] policy.
     pub fn explain_batch(&self, ids: &[ItemId], q: &Point) -> Vec<Explanation> {
-        if let Some(cache) = &self.cache {
-            return map_slice(ids, &self.parallelism, |&id| {
-                let _span = wnrs_obs::span!("explain");
-                Explanation {
-                    culprits: self.lambda_for(cache, id, q).to_items(),
-                }
-            });
-        }
-        map_range_chunked(ids.len(), &self.parallelism, |range| {
-            let mut scratch = WindowScratch::new();
-            let mut chunk = Vec::with_capacity(range.len());
-            for i in range {
-                let _span = wnrs_obs::span!("explain");
-                let id = ids[i];
-                let lambda = into_ok(window_query_with(
-                    &self.tree,
-                    self.point(id),
-                    q,
-                    Some(id),
-                    &mut scratch,
-                ));
-                chunk.push(Explanation {
-                    culprits: lambda.to_items(),
-                });
-            }
-            chunk
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        map_slice(ids, &self.parallelism, |&id| self.explain(id, q))
     }
 
     /// Answers MWQ for many customers against one query product: the
@@ -1002,34 +909,17 @@ impl WhyNotEngine {
     pub fn mwq_batch(&self, ids: &[ItemId], q: &Point) -> (Region, Vec<(ItemId, MwqAnswer)>) {
         let rsl = self.reverse_skyline(q);
         let sr = self.safe_region_for(q, &rsl);
-        let answers = if let Some(cache) = &self.cache {
-            let deps: Vec<u32> = rsl.iter().map(|(m, _)| m.0).collect();
-            let sr_bb = sr.bounding().unwrap_or_else(|| Rect::degenerate(q.clone()));
-            map_slice(ids, &self.parallelism, |&id| {
-                let key = (CoordKey::of_point(q), id.0);
-                let expected_gen = cache.generation();
-                if let Some(ans) = cache.get_mwq(&key) {
-                    return (id, (*ans).clone());
-                }
-                let ans = self.mwq(id, q, &sr);
-                (
-                    id,
-                    (*cache.put_mwq(
-                        expected_gen,
-                        key,
-                        q.clone(),
-                        deps.clone(),
-                        sr_bb.clone(),
-                        ans,
-                    ))
-                    .clone(),
-                )
-            })
-        } else {
-            map_slice(ids, &self.parallelism, |&id| (id, self.mwq(id, q, &sr)))
-        };
+        let answers = map_slice(ids, &self.parallelism, |&id| {
+            (id, self.mwq_answer(id, q, &rsl, &sr))
+        });
         (sr, answers)
     }
+}
+
+/// The ids of a reverse skyline's members: a safe region's or an MWQ
+/// answer's dependency set in the cache.
+fn ids_of(rsl: &[(ItemId, Point)]) -> Vec<u32> {
+    rsl.iter().map(|(id, _)| id.0).collect()
 }
 
 /// FNV-1a over the reverse-skyline members' per-sample fingerprints

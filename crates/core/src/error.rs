@@ -8,7 +8,6 @@
 //! [`WnrsError`] as the umbrella the CLI and other front-ends thread
 //! upward, with `From` conversions from every layer below.
 
-use crate::approx_store_persist::StorePersistError;
 use crate::question::QuestionError;
 use std::fmt;
 use std::io;
@@ -62,8 +61,6 @@ pub enum WnrsError {
     Engine(EngineError),
     /// Page-level storage failure.
     Pager(PagerError),
-    /// Approximate-DSL store (de)serialisation failure.
-    StorePersist(StorePersistError),
     /// A question with a false premise, or one the engine cannot answer.
     Question(QuestionError),
 }
@@ -84,7 +81,6 @@ impl fmt::Display for WnrsError {
             WnrsError::Io(e) => write!(f, "i/o error: {e}"),
             WnrsError::Engine(e) => write!(f, "{e}"),
             WnrsError::Pager(e) => write!(f, "storage error: {e}"),
-            WnrsError::StorePersist(e) => write!(f, "store persistence error: {e}"),
             WnrsError::Question(e) => write!(f, "{e}"),
         }
     }
@@ -97,7 +93,6 @@ impl std::error::Error for WnrsError {
             WnrsError::Io(e) => Some(e),
             WnrsError::Engine(e) => Some(e),
             WnrsError::Pager(e) => Some(e),
-            WnrsError::StorePersist(e) => Some(e),
             WnrsError::Question(e) => Some(e),
         }
     }
@@ -118,12 +113,6 @@ impl From<EngineError> for WnrsError {
 impl From<PagerError> for WnrsError {
     fn from(e: PagerError) -> Self {
         WnrsError::Pager(e)
-    }
-}
-
-impl From<StorePersistError> for WnrsError {
-    fn from(e: StorePersistError) -> Self {
-        WnrsError::StorePersist(e)
     }
 }
 

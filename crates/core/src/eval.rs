@@ -13,11 +13,9 @@
 //!   point's anti-dominance region overlaps the safe region).
 
 use crate::engine::WhyNotEngine;
-use crate::mwp::modify_why_not_point;
 use wnrs_geometry::parallel::map_slice;
 use wnrs_geometry::{cmp_f64, Point, Region};
-use wnrs_reverse_skyline::is_reverse_skyline_member;
-use wnrs_rtree::{into_ok, ItemId};
+use wnrs_rtree::ItemId;
 
 /// Quality scores of the three methods on one why-not question.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,20 +64,9 @@ pub fn score_mqp(
     let q_star = best.point;
     let q_prime = nearest_in_region(engine, sr, &q_star);
     let mut total = engine.cost_model().query_cost(&q_prime, &q_star);
-    for (cid, c) in rsl {
-        if *cid == id {
-            continue;
-        }
-        if !is_reverse_skyline_member(engine.tree(), c, &q_star, Some(*cid)) {
-            let repair = into_ok(modify_why_not_point(
-                engine.tree(),
-                c,
-                &q_star,
-                Some(*cid),
-                engine.cost_model(),
-                crate::engine::DEFAULT_EPS,
-            ));
-            total += repair.best_cost();
+    for &(cid, _) in rsl {
+        if cid != id && !engine.is_member(cid, &q_star) {
+            total += engine.mwp(cid, &q_star).best_cost();
         }
     }
     total

@@ -1,23 +1,21 @@
-//! Flexible safe regions and batch why-not answering.
+//! Flexible safe regions.
 //!
 //! Section V-B of the paper notes that the safe region "can be
 //! truncated/expanded to a smaller/greater one by limiting/relaxing
 //! certain product features … though the companies may lose a few
-//! existing customers as a side effect", and Section VI-B stresses that
-//! one safe region serves *many* why-not questions for the same query.
-//! This module implements both ideas:
+//! existing customers as a side effect". This module implements both
+//! directions (a batch of why-not questions against one safe region is
+//! [`WhyNotEngine::mwq_batch`], or [`WhyNotEngine::mwq`] mapped over
+//! the customers when the region is an expanded one):
 //!
 //! * [`truncate_safe_region`] — clip the safe region to explicit feature
 //!   bounds (a vendor can only reprice within a range, say);
 //! * [`expand_safe_region`] — deliberately sacrifice up to `max_loss`
 //!   existing reverse-skyline members, greedily dropping the customer
 //!   whose anti-dominance region most constrains the safe region's
-//!   area, and report exactly who would be lost;
-//! * [`mwq_batch`] — answer a batch of why-not questions against one
-//!   shared safe region.
+//!   area, and report exactly who would be lost.
 
 use crate::engine::WhyNotEngine;
-use crate::mwq::MwqAnswer;
 use crate::safe_region::anti_ddr_of;
 use wnrs_geometry::parallel::map_slice;
 use wnrs_geometry::{Point, Rect, Region};
@@ -104,20 +102,6 @@ pub fn expand_safe_region(
     }
 }
 
-/// Answers a batch of why-not questions against one shared safe region —
-/// the reuse pattern Section VI-B advocates (the safe region is the
-/// expensive part; each additional question costs only Algorithm 4).
-/// Questions fan out across the engine's [`WhyNotEngine::parallelism`]
-/// policy; answer order always matches `ids`.
-pub fn mwq_batch(
-    engine: &WhyNotEngine,
-    ids: &[ItemId],
-    q: &Point,
-    sr: &Region,
-) -> Vec<(ItemId, MwqAnswer)> {
-    map_slice(ids, engine.parallelism(), |&id| (id, engine.mwq(id, q, sr)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,11 +184,10 @@ mod tests {
     fn batch_shares_one_safe_region() {
         let e = engine();
         let q = Point::xy(8.5, 55.0);
-        let rsl = e.reverse_skyline(&q);
-        let sr = e.safe_region_for(&q, &rsl);
         // The three non-members.
         let ids = [ItemId(0), ItemId(4), ItemId(6)];
-        let answers = mwq_batch(&e, &ids, &q, &sr);
+        let (sr, answers) = e.mwq_batch(&ids, &q);
+        assert_eq!(format!("{sr:?}"), format!("{:?}", e.safe_region(&q)));
         assert_eq!(answers.len(), 3);
         // c7 overlaps the safe region (case C1, free); c1 does not.
         let c7 = answers

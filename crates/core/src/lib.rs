@@ -22,13 +22,14 @@
 //! [`engine::WhyNotEngine`] packages the dataset, index, cost model and
 //! all of the above behind one façade; [`question::Question`] asks any
 //! of them through one front door,
-//! [`engine::WhyNotEngine::answer`]. Under repeated why-not traffic,
-//! [`mod@cache`] adds an optional versioned cross-query reuse layer
-//! (memoised dynamic skylines, anti-DDRs, reverse skylines, safe
-//! regions and culprit windows) plus batch entry points
+//! [`engine::WhyNotEngine::answer`]. The engine writes each question
+//! once over building blocks (dynamic skylines, anti-DDRs, culprit
+//! windows, reverse skylines, safe regions); under repeated why-not
+//! traffic, [`mod@cache`] memoises those blocks in an optional
+//! versioned cross-query reuse layer, which the batch entry points
 //! ([`engine::WhyNotEngine::explain_batch`] /
-//! [`engine::WhyNotEngine::mwq_batch`]); dataset mutations invalidate
-//! it atomically via a generation counter.
+//! [`engine::WhyNotEngine::mwq_batch`]) share across customers; dataset
+//! mutations invalidate it atomically via a generation counter.
 //!
 //! ## Boundary convention
 //!
@@ -43,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 pub mod answer;
-pub mod approx_store_persist;
 pub mod cache;
 pub mod engine;
 pub mod error;
@@ -60,12 +60,12 @@ pub mod sync;
 pub mod verify;
 
 pub use answer::Candidate;
-pub use cache::{CacheConfig, CacheStats, DslSampleEntry, EngineCache, InvalidationMode};
+pub use cache::{CacheConfig, CacheStats, DslSampleEntry, EngineCache};
 pub use engine::WhyNotEngine;
 pub use error::{EngineError, WnrsError};
 pub use eval::score_all_batch;
 pub use explain::{explain, Explanation};
-pub use flexible::{expand_safe_region, mwq_batch, truncate_safe_region, ExpandedSafeRegion};
+pub use flexible::{expand_safe_region, truncate_safe_region, ExpandedSafeRegion};
 pub use mqp::{
     modify_query_point, modify_query_point_core, modify_query_point_with_lambda, MqpAnswer,
 };

@@ -9,9 +9,11 @@
 //! [`wnrs_storage::BufferPool`]. Peak memory is the pool budget plus
 //! per-query scratch, independent of `n`.
 //!
-//! Each query is one call into the same function the uncached in-memory
-//! engine calls, with the page-resident tree as the node source, so
-//! answers are **bit-identical** to that engine over the same tree
+//! Each query is one call into the same function the in-memory engine
+//! calls for a customer named by point (the same window, `*_with_lambda`
+//! and anti-DDR steps its building blocks run), with the page-resident
+//! tree as the node source, so answers are **bit-identical** to that
+//! engine over the same tree
 //! structure (which both `wnrs_rtree::persist::save` and the streaming
 //! STR loader [`wnrs_rtree::bulk_load_stream`] produce) and a page-read
 //! failure surfaces as the query's error. The safe region runs under

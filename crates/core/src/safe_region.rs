@@ -151,9 +151,9 @@ where
 /// members, or the whole universe when there are none: the member
 /// regions fan out across `par`'s workers and meet in the balanced tree
 /// reduction of [`intersect_all`]. [`exact_safe_region_with`] passes
-/// [`anti_ddr_of`] and the cached engine its memoised anti-DDRs, so
-/// both build the same regions in the same pairing and agree bit for
-/// bit.
+/// [`anti_ddr_of`] and `WhyNotEngine` its (possibly memoised) anti-DDR
+/// building block, so both build the same regions in the same pairing
+/// and agree bit for bit.
 ///
 /// # Errors
 ///
@@ -400,48 +400,6 @@ impl ApproxDslStore {
         let lo = self.offsets[i] as usize * self.dim;
         let hi = self.offsets[i + 1] as usize * self.dim;
         PointsView::new(self.dim, &self.coords[lo..hi])
-    }
-
-    /// Iterates over every stored sample in item-id order.
-    pub fn samples_iter(&self) -> impl Iterator<Item = PointsView<'_>> {
-        (0..self.len()).map(move |i| self.sample(ItemId(i as u32)))
-    }
-
-    /// Reassembles a store from its raw parts (persistence path). The
-    /// dimensionality is taken from the first non-empty sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0` or samples have mixed dimensionality.
-    #[must_use]
-    pub fn from_parts(k: usize, samples: Vec<Vec<Point>>) -> Self {
-        assert!(k > 0, "sample size k must be positive");
-        let dim = samples
-            .iter()
-            .flat_map(|s| s.first())
-            .map(Point::dim)
-            .next()
-            .unwrap_or(1);
-        let mut coords = Vec::new();
-        let mut offsets = Vec::with_capacity(samples.len() + 1);
-        offsets.push(0u32);
-        let mut total = 0u32;
-        for sample in &samples {
-            for p in sample {
-                assert_eq!(p.dim(), dim, "mixed sample dimensionality");
-                coords.extend_from_slice(p.coords());
-            }
-            total += sample.len() as u32;
-            offsets.push(total);
-        }
-        let fingerprint = store_fingerprint(k, dim, &coords, &offsets);
-        Self {
-            k,
-            dim,
-            coords,
-            offsets,
-            fingerprint,
-        }
     }
 
     /// The approximate anti-dominance region of item `id` (located at

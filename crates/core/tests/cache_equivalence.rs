@@ -19,15 +19,16 @@
 //! The lazy-DSL suite at the bottom extends the same bar to the
 //! on-demand sample store: lazily materialised per-customer samples and
 //! the lazy approximate safe region must be bit-identical to an eager
-//! [`ApproxDslStore`] of the same `k` — in any query order, and across
-//! insert/delete interleavings (where a Flush-mode cache, which
-//! recomputes every sample after every write, is the ground truth the
-//! surgically evicted cache must keep matching).
+//! [`ApproxDslStore`] of the same `k` — in any query order, for any `k`
+//! (memo keys must not alias two sample sizes), and across insert/delete
+//! interleavings (where the uncached engine, which recomputes every
+//! sample on every ask, is the ground truth the surgically evicted
+//! cache must keep matching).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wnrs_core::{CacheConfig, InvalidationMode, WhyNotEngine};
+use wnrs_core::WhyNotEngine;
 use wnrs_geometry::{Point, Rect};
 use wnrs_rtree::{ItemId, RTreeConfig};
 
@@ -412,17 +413,21 @@ fn assert_lazy_matches_eager_store(
         "unmemoised lazy safe region diverged from the eager store"
     );
     for (id, _) in &rsl {
-        let entry = cached.lazy_dsl_sample(*id, k).expect("cache enabled");
-        assert_eq!(
-            entry.fingerprint,
-            store.entry_fingerprint(*id),
-            "lazy sample fingerprint diverged for {id:?}"
-        );
-        assert_eq!(
-            bits_of(&entry.coords),
-            bits_of(store.sample(*id).coords()),
-            "lazy sample coordinates diverged for {id:?}"
-        );
+        for entry in [
+            cached.lazy_dsl_sample(*id, k),
+            plain.lazy_dsl_sample(*id, k),
+        ] {
+            assert_eq!(
+                entry.fingerprint,
+                store.entry_fingerprint(*id),
+                "lazy sample fingerprint diverged for {id:?}"
+            );
+            assert_eq!(
+                bits_of(&entry.coords),
+                bits_of(store.sample(*id).coords()),
+                "lazy sample coordinates diverged for {id:?}"
+            );
+        }
     }
 }
 
@@ -460,36 +465,26 @@ proptest! {
         ops in prop::collection::vec((0u8..4, 0usize..1_000_000), 4..10),
     ) {
         // The eager store demands dense ids, so after deletes the ground
-        // truth is a Flush-mode cache: it recomputes every sample after
-        // every write, while the surgical cache keeps whatever its
-        // write probes deemed unaffected. A stale sample that dodged
-        // surgical eviction shows up as a fingerprint or region diff.
+        // truth is the uncached engine: it recomputes every sample on
+        // every ask, while the surgical cache keeps whatever its write
+        // probes deemed unaffected. A stale sample that dodged surgical
+        // eviction shows up as a fingerprint or region diff.
         let points = make_points(dist, n, seed);
-        let plain = WhyNotEngine::with_config(points.clone(), RTreeConfig::with_max_entries(8));
-        let surgical = WhyNotEngine::with_config(points.clone(), RTreeConfig::with_max_entries(8))
-            .with_cache();
-        let flushy = WhyNotEngine::with_config(points.clone(), RTreeConfig::with_max_entries(8))
-            .with_cache_config(CacheConfig {
-                invalidation: InvalidationMode::Flush,
-                ..CacheConfig::default()
-            });
-        let mut engines = [plain, surgical, flushy];
+        let (plain, surgical) = engines_of(points.clone());
+        let mut engines = [plain, surgical];
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1A55);
         let hot_q = query_in(&points, &mut rng);
-        let check = |engines: &[WhyNotEngine; 3], q: &Point| {
-            let [plain, surgical, flushy] = engines;
+        let check = |engines: &[WhyNotEngine; 2], q: &Point| {
+            let [plain, surgical] = engines;
             let rsl = plain.reverse_skyline(q);
-            let fresh = format!("{:?}", plain.approx_safe_region_lazy(q, &rsl, k));
-            for cached in [surgical, flushy] {
-                assert_eq!(
-                    fresh,
-                    format!("{:?}", cached.approx_safe_region_lazy(q, &rsl, k)),
-                    "lazy safe region diverged after mutations"
-                );
-            }
+            assert_eq!(
+                format!("{:?}", plain.approx_safe_region_lazy(q, &rsl, k)),
+                format!("{:?}", surgical.approx_safe_region_lazy(q, &rsl, k)),
+                "lazy safe region diverged after mutations"
+            );
             for (id, _) in &rsl {
-                let a = surgical.lazy_dsl_sample(*id, k).expect("cache enabled");
-                let b = flushy.lazy_dsl_sample(*id, k).expect("cache enabled");
+                let a = surgical.lazy_dsl_sample(*id, k);
+                let b = plain.lazy_dsl_sample(*id, k);
                 assert_eq!(
                     a.fingerprint, b.fingerprint,
                     "surgically retained sample went stale for {id:?}"
@@ -504,7 +499,6 @@ proptest! {
                     let ids: Vec<ItemId> =
                         engines.iter_mut().map(|e| e.insert(p.clone())).collect();
                     prop_assert_eq!(ids[0], ids[1]);
-                    prop_assert_eq!(ids[0], ids[2]);
                 }
                 1 => {
                     let id = ItemId((pick % engines[0].len()) as u32);
@@ -521,5 +515,35 @@ proptest! {
             }
         }
         check(&engines, &hot_q);
+    }
+}
+
+/// A sample size past `u32::MAX` must not share memo entries with the
+/// size it equals modulo 2^32: after a `k = 1` ask, the cached engine
+/// must still answer `k = 2^32 + 1` (which keeps every DSL point) like
+/// the uncached one.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn lazy_sample_keys_keep_the_full_sample_size() {
+    let points = make_points(2, 60, 2013);
+    let (plain, cached) = engines_of(points.clone());
+    let huge = (1usize << 32) + 1;
+    let mut rng = StdRng::seed_from_u64(0x6B31);
+    for _ in 0..4 {
+        let q = query_in(&points, &mut rng);
+        let rsl = plain.reverse_skyline(&q);
+        cached.approx_safe_region_lazy(&q, &rsl, 1);
+        assert_eq!(
+            format!("{:?}", plain.approx_safe_region_lazy(&q, &rsl, huge)),
+            format!("{:?}", cached.approx_safe_region_lazy(&q, &rsl, huge)),
+            "k = 2^32 + 1 was served the k = 1 samples"
+        );
+        for (id, _) in &rsl {
+            assert_eq!(
+                bits_of(&plain.lazy_dsl_sample(*id, huge).coords),
+                bits_of(&cached.lazy_dsl_sample(*id, huge).coords),
+                "sample of {id:?} aliased across sample sizes"
+            );
+        }
     }
 }

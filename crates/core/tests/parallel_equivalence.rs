@@ -10,7 +10,8 @@
 //!   count — the containment-pruned intersection is canonical;
 //! * `ApproxDslStore::build_with` is *identical* to the sequential
 //!   build (per-item work is independent);
-//! * `mwq_batch` answers are identical whatever the engine's policy;
+//! * `WhyNotEngine::mwq_batch` answers are identical whatever the
+//!   engine's policy;
 //! * the tree reduction is invariant under shuffling of the member
 //!   regions (same area, same membership).
 //!
@@ -24,7 +25,7 @@ use wnrs_core::safe_region::{
     approx_safe_region, approx_safe_region_with, exact_safe_region, exact_safe_region_with,
     ApproxDslStore,
 };
-use wnrs_core::{mwq_batch, Parallelism, WhyNotEngine};
+use wnrs_core::{Parallelism, WhyNotEngine};
 use wnrs_geometry::parallel::intersect_all;
 use wnrs_geometry::{Point, Rect, Region};
 use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
@@ -150,14 +151,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0FF0);
         let q = query_in(&points, &mut rng);
         let ids: Vec<ItemId> = (0..points.len() as u32).step_by(7).map(ItemId).collect();
-        let reference_engine = engine_of(points.clone());
-        let rsl = reference_engine.reverse_skyline(&q);
-        let sr = reference_engine.safe_region_for(&q, &rsl);
-        let reference = mwq_batch(&reference_engine, &ids, &q, &sr);
+        let (reference_sr, reference) = engine_of(points.clone()).mwq_batch(&ids, &q);
         for threads in THREADS {
             let engine = engine_of(points.clone())
                 .with_parallelism(eager(threads));
-            let answers = mwq_batch(&engine, &ids, &q, &sr);
+            let (sr, answers) = engine.mwq_batch(&ids, &q);
+            prop_assert_eq!(sorted_boxes(&sr), sorted_boxes(&reference_sr), "threads {}", threads);
             prop_assert_eq!(answers.len(), reference.len());
             for ((id_a, a), (id_b, b)) in answers.iter().zip(&reference) {
                 prop_assert_eq!(id_a, id_b, "threads {}", threads);

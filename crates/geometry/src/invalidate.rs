@@ -1,26 +1,17 @@
-//! Geometric kernels for surgical cache invalidation.
+//! The geometric kernel behind cached MWQ answers' delete eviction.
 //!
-//! When a product `p` is inserted or deleted, only a bounded portion of
-//! the why-not cache can change. Two closed-form shapes decide which
-//! entries a write can reach, both derived from the dynamic-dominance
-//! definition `t_c(x) = |x − c|` (Eqn 1):
+//! When a product is deleted, a cached MWQ optimum can only be undercut
+//! by a repair position the victim alone was blocking. [`release_region`]
+//! bounds those positions in closed form from the dynamic-dominance
+//! definition `t_c(x) = |x − c|` (Eqn 1): the box of centres a deleted
+//! product could have been dynamically dominating against some query
+//! position in a given box (the safe region's bounding box). A repair
+//! position outside it cannot have been blocked by the victim, so the
+//! cache keeps the answer unless the box admits a repair at or below
+//! the cached cost.
 //!
-//! * [`dominator_region`] — the axis-aligned box of *centres* `c` for
-//!   which `p` can dynamically dominate a fixed point `q`. Customers
-//!   outside this box cannot gain or lose `p` as a dominator of `q`,
-//!   so it bounds the blast radius of a write on any membership
-//!   question anchored at `q`.
-//! * [`release_region`] — the box of centres a *deleted* product could
-//!   have been dynamically dominating against some query position in a
-//!   given box (the safe region's bounding box, for cached MWQ
-//!   answers). A repair position outside it cannot have been blocked
-//!   by the victim, so a cached optimum can only be undercut by
-//!   positions inside it.
-//!
-//! Both kernels are *conservative*: they may report a write as
-//! relevant when it is not (costing only a cache refill), never the
-//! reverse. Exact per-entry dominance tests re-check candidates the
-//! boxes admit.
+//! The kernel is *conservative*: it may report a delete as relevant
+//! when it is not (costing only a cache refill), never the reverse.
 
 use crate::point::Point;
 use crate::rect::Rect;
@@ -29,66 +20,6 @@ use crate::rect::Rect;
 /// so floating-point rounding in midpoints/radii can never exclude a
 /// genuinely affected centre.
 const SLACK: f64 = 1e-9;
-
-/// The box of centres `c` for which `t_c(p)` weakly precedes `t_c(q)`
-/// in every dimension — a necessary condition for `p` to dynamically
-/// dominate `q` with respect to `c`.
-///
-/// Per dimension: `|p_i − c_i| ≤ |q_i − c_i|` holds exactly on the
-/// half-line bounded by the midpoint `(p_i + q_i) / 2` on `p`'s side
-/// (every `c_i` when `p_i = q_i`). The intersection over dimensions is
-/// a box; clipped against `universe` (which must contain every live
-/// centre) it bounds all customers whose relationship to `q` the write
-/// of `p` can change. Returns `None` when the clipped box is empty.
-///
-/// The midpoint is widened by a small relative slack toward `q`'s
-/// side; callers confirm admitted candidates with `dominates_dyn`.
-///
-/// # Examples
-///
-/// ```
-/// use wnrs_geometry::{dominator_region, Point, Rect};
-///
-/// let universe = Rect::new(Point::xy(0.0, 0.0), Point::xy(100.0, 100.0));
-/// let region = dominator_region(
-///     &Point::xy(10.0, 10.0),
-///     &Point::xy(30.0, 30.0),
-///     &universe,
-/// )
-/// .unwrap();
-/// // Centres left of / below the midpoints (20, 20) see p closer.
-/// assert!(region.contains_point(&Point::xy(5.0, 5.0)));
-/// assert!(!region.contains_point(&Point::xy(25.0, 25.0)));
-/// ```
-#[must_use]
-pub fn dominator_region(p: &Point, q: &Point, universe: &Rect) -> Option<Rect> {
-    let dim = p.dim();
-    debug_assert_eq!(dim, q.dim());
-    debug_assert_eq!(dim, universe.dim());
-    let mut lo = Vec::with_capacity(dim);
-    let mut hi = Vec::with_capacity(dim);
-    for i in 0..dim {
-        let (pi, qi) = (p.get(i), q.get(i));
-        let mut lo_i = universe.lo().get(i);
-        let mut hi_i = universe.hi().get(i);
-        if pi < qi {
-            // c must sit at or left of the midpoint.
-            let mid = 0.5 * (pi + qi);
-            let pad = SLACK * (1.0 + mid.abs());
-            hi_i = crate::point::min_f64(hi_i, mid + pad);
-        } else if pi > qi {
-            let mid = 0.5 * (pi + qi);
-            let pad = SLACK * (1.0 + mid.abs());
-            lo_i = crate::point::max_f64(lo_i, mid - pad);
-        }
-        if lo_i > hi_i {
-            return None;
-        }
-        lo.push(lo_i);
-        hi.push(hi_i);
-    }
-    Some(Rect::new(Point::new(lo), Point::new(hi)))
-}
 
 /// The box of centres `c'` for which the deleted product `v` could
 /// dynamically dominate *some* point of the box `sr_bb` — the
@@ -105,9 +36,8 @@ pub fn dominator_region(p: &Point, q: &Point, universe: &Rect) -> Option<Rect> {
 /// when `v_i` lies inside `[lo_i, hi_i]`. Clipped against `universe`;
 /// `None` when the clipped box is empty.
 ///
-/// As with [`dominator_region`], midpoints are widened by a small
-/// relative slack so rounding never excludes a genuinely released
-/// centre.
+/// Midpoints are widened by a small relative slack so rounding never
+/// excludes a genuinely released centre.
 ///
 /// # Examples
 ///
@@ -161,46 +91,6 @@ mod tests {
 
     fn universe() -> Rect {
         Rect::new(Point::xy(0.0, 0.0), Point::xy(100.0, 100.0))
-    }
-
-    #[test]
-    fn dominator_region_contains_every_affected_centre() {
-        // Brute force: every grid centre where p dynamically dominates q
-        // must fall inside the box.
-        let p = Point::xy(22.0, 61.0);
-        let q = Point::xy(48.0, 37.0);
-        let region = dominator_region(&p, &q, &universe()).expect("non-empty");
-        for x in 0..=50 {
-            for y in 0..=50 {
-                let c = Point::xy(f64::from(x) * 2.0, f64::from(y) * 2.0);
-                if dominates_dyn(&p, &q, &c) {
-                    assert!(region.contains_point(&c), "missed centre {c:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dominator_region_ties_keep_full_extent() {
-        // Equal coordinates in one dimension leave that axis unbounded
-        // (ties never rule out domination via the other axes).
-        let p = Point::xy(10.0, 30.0);
-        let q = Point::xy(10.0, 50.0);
-        let region = dominator_region(&p, &q, &universe()).expect("non-empty");
-        assert_eq!(region.lo().get(0), 0.0);
-        assert_eq!(region.hi().get(0), 100.0);
-        assert!(region.hi().get(1) >= 40.0);
-        assert!(region.hi().get(1) < 41.0);
-    }
-
-    #[test]
-    fn dominator_region_outside_universe_is_none() {
-        // Midpoint left of the universe: no live centre can satisfy
-        // the per-dimension constraint.
-        let small = Rect::new(Point::xy(50.0, 0.0), Point::xy(100.0, 100.0));
-        let p = Point::xy(0.0, 10.0);
-        let q = Point::xy(20.0, 10.0);
-        assert!(dominator_region(&p, &q, &small).is_none());
     }
 
     #[test]

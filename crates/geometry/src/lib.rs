@@ -48,7 +48,7 @@ pub mod transform;
 
 pub use cost::{CostModel, Weights};
 pub use dominance::{dominates, dominates_components, dominates_dyn, dominates_global, Dominance};
-pub use invalidate::{dominator_region, release_region};
+pub use invalidate::release_region;
 pub use key::{f64_key, CoordKey};
 pub use normalize::MinMaxNormalizer;
 pub use parallel::Parallelism;

@@ -27,12 +27,13 @@ use crate::rules::{Finding, Rule};
 const ACQUIRE: [&str; 4] = ["read", "write", "read_state", "write_state"];
 
 /// Engine/cache entry points that must never run under a live guard:
-/// every cached query path re-acquires the state lock, so a call here
+/// every question and building-block lookup takes the state lock when
+/// the cache is on, so a call here
 /// while holding a guard is the lock-inversion/deadlock shape the
 /// serving layer would hit. Deliberately restricted to unambiguous
 /// names — generic container methods (`insert`, `get`, …) are exactly
 /// what a fill *should* do under the guard.
-const ENGINE_CALLS: [&str; 15] = [
+const ENGINE_CALLS: [&str; 21] = [
     "answer",
     "explain",
     "explain_batch",
@@ -44,10 +45,16 @@ const ENGINE_CALLS: [&str; 15] = [
     "reverse_skyline",
     "safe_region_for",
     "approx_safe_region_for",
+    "approx_safe_region_lazy",
+    "lazy_dsl_sample",
     "invalidate",
     "invalidate_surgical",
-    "dsl_for",
-    "lambda_for",
+    "dsl",
+    "anti_ddr",
+    "dsl_sample",
+    "lambda",
+    "sr_approx",
+    "mwq_answer",
 ];
 
 /// Chained calls that still yield the guard (poison recovery).

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wnrs::core::flexible::{expand_safe_region, mwq_batch, truncate_safe_region};
+use wnrs::core::flexible::{expand_safe_region, truncate_safe_region};
 use wnrs::prelude::*;
 
 fn main() {
@@ -38,8 +38,17 @@ fn main() {
         }
     }
 
+    // Every prospect's MWQ against one region: the exact one here, the
+    // expanded one further down.
+    let answer_all = |region: &Region| -> Vec<(ItemId, MwqAnswer)> {
+        prospects
+            .iter()
+            .map(|&id| (id, engine.mwq(id, &q, region)))
+            .collect()
+    };
+
     println!("\nbatch why-not answers (shared safe region):");
-    let answers = mwq_batch(&engine, &prospects, &q, &sr);
+    let answers = answer_all(&sr);
     let mut free = 0;
     for (id, ans) in &answers {
         match ans.case {
@@ -74,7 +83,7 @@ fn main() {
         sr.area(),
         expanded.region.area()
     );
-    let answers_after = mwq_batch(&engine, &prospects, &q, &expanded.region);
+    let answers_after = answer_all(&expanded.region);
     let free_after = answers_after
         .iter()
         .filter(|(_, a)| matches!(a.case, MwqCase::Overlap))

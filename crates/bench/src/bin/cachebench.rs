@@ -14,7 +14,10 @@
 //! `mwq_batch` on two engines built over the same dataset — one plain,
 //! one `with_cache()` — and the summary records the throughput ratio
 //! plus the cache's own hit/miss/eviction counters. Answers are
-//! asserted identical between the two engines as they stream.
+//! asserted identical between the two engines as they stream. Each read
+//! workload is timed in [`ROUNDS`] rounds, a fresh cached engine per
+//! round and the first side alternating, so host noise falls on both
+//! sides; the summary records every round and compares the medians.
 //!
 //! The write-mix battery (`wnrs_data::workload::WriteMixWorkload`)
 //! interleaves the repeated stream with 0% / 1% / 5% / 10% inserts and
@@ -42,6 +45,9 @@ const SEED: u64 = 20_130_408;
 /// Why-not questions per query product (the paper's `W`).
 const W: usize = 64;
 
+/// Timed rounds of each read workload, per side.
+const ROUNDS: usize = 3;
+
 /// The write-mix battery fractions and their case labels.
 const WRITE_MIXES: [(f64, &str); 4] = [
     (0.0, "write_mix_0pct"),
@@ -56,7 +62,10 @@ struct Case {
     n: usize,
     questions: usize,
     answers: usize,
+    /// The median of `rounds`, or the one timed run.
     seconds: f64,
+    /// The seconds of every round, in order (read workloads only).
+    rounds: Vec<f64>,
     stats: Option<wnrs_core::CacheStats>,
 }
 
@@ -92,24 +101,47 @@ fn run(smoke: bool) {
     let repeated = RepeatedWorkload::repeated(&tree, &points, distinct, repeats, W, &mut rng);
     let mixed = RepeatedWorkload::mixed(&tree, &points, distinct, repeats, fresh, W, &mut rng);
     for (name, workload) in [("repeated", &repeated), ("mixed", &mixed)] {
-        // A fresh cached engine per workload keeps the recorded
-        // hit/miss statistics per-case rather than cumulative.
-        let cached = WhyNotEngine::new(points.clone()).with_cache();
         println!("== {name} workload: {} questions ==", workload.len());
-        let uncached_secs = drive(&plain, workload, &mut cases, name, "uncached", n, None);
-        let cached_secs = drive(
-            &cached,
-            workload,
-            &mut cases,
-            name,
-            "cached",
-            n,
-            Some(&plain),
-        );
-        println!(
-            "  uncached {uncached_secs:.3} s, cached {cached_secs:.3} s -> {:.2}x",
-            uncached_secs / cached_secs
-        );
+        let (mut uncached, mut cached) = (Vec::new(), Vec::new());
+        for round in 0..ROUNDS {
+            // A fresh cached engine per round keeps the recorded
+            // hit/miss statistics per round rather than cumulative.
+            let engine = WhyNotEngine::new(points.clone()).with_cache();
+            if round % 2 == 0 {
+                uncached.push(drive(&plain, workload, None));
+            }
+            cached.push(drive(&engine, workload, Some(&plain)));
+            if round % 2 == 1 {
+                uncached.push(drive(&plain, workload, None));
+            }
+        }
+        for (mode, runs) in [("uncached", uncached), ("cached", cached)] {
+            let rounds: Vec<f64> = runs.iter().map(|(secs, _, _)| *secs).collect();
+            let (_, answers, stats) = runs.into_iter().last().unwrap_or_default();
+            if let Some(stats) = &stats {
+                println!(
+                    "  [{mode}] {} hits / {} misses ({:.1}% hit rate), {} evictions",
+                    stats.hits,
+                    stats.misses,
+                    stats.hit_rate() * 100.0,
+                    stats.evictions
+                );
+            }
+            println!("  [{mode}] rounds {rounds:.3?} s");
+            let (workload, questions) = (name, workload.len());
+            let seconds = median(&rounds);
+            cases.push(Case {
+                workload,
+                mode,
+                n,
+                questions,
+                answers,
+                seconds,
+                rounds,
+                stats,
+            });
+        }
+        println!("  median ratio {:.2}x", speedup(&cases, name));
     }
 
     write_mix_battery(smoke, n, &points, &tree, &mut cases);
@@ -187,6 +219,7 @@ fn write_mix_battery(
                 questions: stream.questions,
                 answers,
                 seconds,
+                rounds: Vec::new(),
                 stats,
             });
         }
@@ -252,16 +285,13 @@ fn drive_ops(
 
 /// Streams every question of `workload` through `engine`, checking each
 /// answer against `reference` (the uncached engine) when given, and
-/// returns the elapsed seconds (the check runs outside the clock).
+/// returns the elapsed seconds (the check runs outside the clock), the
+/// number of answers and the cache's statistics.
 fn drive(
     engine: &WhyNotEngine,
     workload: &RepeatedWorkload,
-    cases: &mut Vec<Case>,
-    name: &'static str,
-    mode: &'static str,
-    n: usize,
     reference: Option<&WhyNotEngine>,
-) -> f64 {
+) -> (f64, usize, Option<wnrs_core::CacheStats>) {
     let mut answers = 0usize;
     let mut seconds = 0.0f64;
     for question in &workload.questions {
@@ -289,28 +319,23 @@ fn drive(
             }
         }
     }
-    let stats = engine.cache_stats();
-    if let Some(stats) = &stats {
-        println!(
-            "  [{mode}] {} hits / {} misses ({:.1}% hit rate), {} evictions",
-            stats.hits,
-            stats.misses,
-            stats.hit_rate() * 100.0,
-            stats.evictions
-        );
-    }
-    cases.push(Case {
-        workload: name,
-        mode,
-        n,
-        questions: workload.len(),
-        answers,
-        seconds,
-        stats,
-    });
-    seconds
+    (seconds, answers, engine.cache_stats())
 }
 
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(xs: &[f64]) -> f64 {
+    let mut xs = xs.to_vec();
+    xs.sort_by(|a, b| wnrs_geometry::cmp_f64(*a, *b));
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
+    }
+}
+
+/// The uncached over the cached seconds of `workload` (medians for the
+/// read workloads).
 fn speedup(cases: &[Case], workload: &str) -> f64 {
     let secs = |mode: &str| {
         cases
@@ -325,7 +350,7 @@ fn speedup(cases: &[Case], workload: &str) -> f64 {
 fn write_summary(cases: &[Case], cores: usize) {
     let mut json = String::from("{\n");
     json.push_str(&format!(
-        "  \"hardware\": {{ \"available_cores\": {cores}, \"note\": \"single-process wall-clock; on a 1-core host the cached and uncached runs compete for the same core, so the ratio isolates algorithmic reuse, not parallel speedup\" }},\n"
+        "  \"hardware\": {{ \"available_cores\": {cores}, \"note\": \"single-process wall-clock, one engine thread; each read workload alternates its uncached and cached streams over {ROUNDS} rounds and records the median as seconds, so the ratio isolates algorithmic reuse, not parallel speedup\" }},\n"
     ));
     json.push_str(&format!(
         "  \"seed\": 20130408,\n  \"engine_mode\": \"in_memory_cached\",\n  \"dataset\": \"CarDB\",\n  \"whynot_per_query\": {W},\n  \"cases\": [\n"
@@ -365,8 +390,14 @@ fn write_summary(cases: &[Case], cores: usize) {
             } else {
                 String::new()
             };
+            let rounds = if c.rounds.is_empty() {
+                String::new()
+            } else {
+                let secs: Vec<String> = c.rounds.iter().map(|s| format!("{s:.6}")).collect();
+                format!(", \"round_seconds\": [{}]", secs.join(", "))
+            };
             format!(
-                "    {{ \"workload\": \"{}\", \"mode\": \"{}\", \"n\": {}, \"questions\": {}, \"answers\": {}, \"seconds\": {:.6}, \"answers_per_sec\": {:.1}{speedup}{stats} }}",
+                "    {{ \"workload\": \"{}\", \"mode\": \"{}\", \"n\": {}, \"questions\": {}, \"answers\": {}, \"seconds\": {:.6}{rounds}, \"answers_per_sec\": {:.1}{speedup}{stats} }}",
                 c.workload,
                 c.mode,
                 c.n,

@@ -27,11 +27,11 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
-use wnrs_core::{Customer, Question, Reply, WhyNotEngine, WnrsError};
+use wnrs_core::{Customer, PagedEngine, Question, Reply, WhyNotEngine, WnrsError};
 use wnrs_geometry::{Parallelism, Point};
-use wnrs_rtree::ItemId;
+use wnrs_rtree::{ItemId, NodeSource};
 use wnrs_server::server::EngineHost;
-use wnrs_storage::Pager as _;
+use wnrs_storage::{FilePager, Pager as _};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -76,10 +76,10 @@ safe region approximated from k-sampled dynamic skylines.
 
 out-of-core mode: rsl, explain, mwp, mqp, safe-region and mwq accept
 --paged on with --index <file.idx> to run end-to-end through the
-page-resident engine (bounded buffer pool, no in-memory point arena;
-answers are bit-identical, exact safe regions only). --pool-pages <n>
-sets the pool budget (default 256 pages of 1536 bytes). the why-not
-customer is then given by coordinates (--whynot-point).
+page-resident engine (bounded buffer pool, no point arena, answers
+bit-identical; --pool-pages <n> sets the budget, default 256 pages of
+1536 bytes). the why-not customer is then given by coordinates
+(--whynot-point); --approx-k, --cache and --threads apply as in memory.
 
 serving: `wnrs serve` hosts the engine behind the wire protocol of
 docs/SERVING.md (threaded workers, bounded admission queue, explicit
@@ -89,7 +89,7 @@ running server and prints the answer; --op shutdown stops the server
 gracefully. serving flags: --threads sets the worker pool (the hosted
 engine itself runs sequentially), --queue-depth the admission queue,
 --max-conns the connection cap, --deadline-ms the per-request
-deadline, --approx-k serves approximate safe regions (in-memory only).
+deadline, --approx-k serves approximate safe regions.
 
 observability (requires building with --features obs, else empty):
   --metrics-out <path|->   write the metrics report after the command
@@ -272,6 +272,14 @@ fn load_engine(opts: &HashMap<String, String>) -> Result<WhyNotEngine, WnrsError
         }
         WhyNotEngine::try_new(points)?
     };
+    cache_opt(engine, opts)
+}
+
+/// Applies `--cache on|off` (default off) to either source's engine.
+fn cache_opt<S: NodeSource>(
+    engine: WhyNotEngine<S>,
+    opts: &HashMap<String, String>,
+) -> Result<WhyNotEngine<S>, WnrsError> {
     match opts.get("cache").map(String::as_str) {
         Some("on") => Ok(engine.with_cache()),
         Some("off") | None => Ok(engine),
@@ -314,10 +322,8 @@ fn paged_mode(opts: &HashMap<String, String>) -> Result<bool, WnrsError> {
 /// Opens a persisted index behind a bounded buffer pool and wraps it in
 /// the out-of-core engine, the cost model normalised to the universe
 /// recovered from the root page (the same min–max fit the in-memory
-/// engine computes from the point arena).
-fn load_paged_engine(
-    opts: &HashMap<String, String>,
-) -> Result<wnrs_core::PagedEngine<wnrs_storage::FilePager>, WnrsError> {
+/// engine computes from the point arena), with `--cache` applied.
+fn load_paged_engine(opts: &HashMap<String, String>) -> Result<PagedEngine<FilePager>, WnrsError> {
     let path = opts
         .get("index")
         .ok_or_else(|| WnrsError::usage("--paged on requires --index <file.idx>"))?;
@@ -341,13 +347,11 @@ fn load_paged_engine(
     .map_err(|e| format!("opening paged index {path}: {e}"))?;
     let dim = tree.dim();
     let equal = || wnrs_geometry::Weights::equal(dim);
-    let engine =
-        wnrs_core::PagedEngine::from_tree(tree, wnrs_geometry::CostModel::new(equal(), equal()))
-            .map_err(|e| format!("reading index root: {e}"))?;
+    let engine = PagedEngine::from_tree(tree, wnrs_geometry::CostModel::new(equal(), equal()))
+        .map_err(|e| format!("reading index root: {e}"))?;
     let normalizer = wnrs_geometry::MinMaxNormalizer::from_bounds(engine.universe());
-    Ok(engine.with_cost_model(
-        wnrs_geometry::CostModel::new(equal(), equal()).with_normalizer(normalizer),
-    ))
+    let cost = wnrs_geometry::CostModel::new(equal(), equal()).with_normalizer(normalizer);
+    cache_opt(engine.with_cost_model(cost), opts)
 }
 
 /// The question a query command (or `client --op`) asks, read from its
@@ -417,7 +421,7 @@ fn ask(cmd: &str, opts: &HashMap<String, String>, paged: bool) -> Result<(), Wnr
         print_reply(&question, &reply, id_point);
         return Ok(());
     }
-    let engine = load_paged_engine(opts)?;
+    let engine = load_paged_engine(opts)?.with_parallelism(parallelism_opt(opts)?);
     let reply = engine.answer(&question)?;
     print_reply(&question, &reply, None);
     let pool = engine.tree().pool();
@@ -584,19 +588,15 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), WnrsError> {
     Ok(())
 }
 
-/// The engine `wnrs serve` hosts: the page-resident one with `--paged
-/// on`, else the in-memory one. Either runs each question sequentially:
-/// `--threads` sizes the worker pool, not the engine.
+/// The engine `wnrs serve` hosts, with `--cache` applied: the paged one
+/// with `--paged on`, else the in-memory one. Either runs each question
+/// sequentially: `--threads` sizes the worker pool, not the engine.
 fn serve_host(opts: &HashMap<String, String>) -> Result<EngineHost, WnrsError> {
-    if !paged_mode(opts)? {
-        return Ok(EngineHost::memory(load_engine(opts)?));
-    }
-    if opts.contains_key("approx-k") {
-        return Err(WnrsError::usage(
-            "--approx-k applies to the in-memory engine, not --paged on",
-        ));
-    }
-    Ok(EngineHost::paged(load_paged_engine(opts)?))
+    Ok(if paged_mode(opts)? {
+        EngineHost::paged(load_paged_engine(opts)?)
+    } else {
+        EngineHost::memory(load_engine(opts)?)
+    })
 }
 
 /// `wnrs client`: one request against a running server, answer printed
@@ -866,27 +866,33 @@ mod tests {
         let data = dir.join("points.csv");
         std::fs::write(&data, "1,2\n3,1\n2,3\n").expect("write the dataset");
         let data = data.to_string_lossy().into_owned();
+        let idx = dir.join("points.idx").to_string_lossy().into_owned();
+        index(&flags(&[("data", &data), ("out", &idx)])).expect("write the index");
         for threads in ["1", "8"] {
             let opts = flags(&[("data", &data), ("threads", threads), ("cache", "on")]);
-            match serve_host(&opts).expect("in-memory host") {
+            let paged = [("paged", "on"), ("index", &idx), ("approx-k", "8")];
+            let paged = flags(&[&paged[..], &[("threads", threads), ("cache", "on")]].concat());
+            let hosted = match serve_host(&opts).expect("in-memory host") {
                 EngineHost::Memory(m) => {
-                    let engine = m.with_engine(|e| (e.parallelism().clone(), e.cache().is_some()));
-                    assert_eq!(
-                        engine,
-                        (Parallelism::sequential(), true),
-                        "--threads {threads}"
-                    );
+                    m.with_engine(|e| (e.parallelism().clone(), e.cache().is_some()))
                 }
                 EngineHost::Paged(_) => panic!("in-memory flags hosted the paged engine"),
-            }
+            };
+            assert_eq!(
+                hosted,
+                (Parallelism::sequential(), true),
+                "--threads {threads}"
+            );
+            let hosted = match serve_host(&paged).expect("paged host") {
+                EngineHost::Paged(e) => (e.parallelism().clone(), e.cache().is_some()),
+                EngineHost::Memory(_) => panic!("--paged on hosted the in-memory engine"),
+            };
+            assert_eq!(
+                hosted,
+                (Parallelism::sequential(), true),
+                "paged --threads {threads}"
+            );
         }
         let _ = std::fs::remove_dir_all(&dir);
-        // Refused before any index is opened.
-        let opts = flags(&[("paged", "on"), ("index", "missing.idx"), ("approx-k", "8")]);
-        let refusal = serve_host(&opts).err().map(|e| e.to_string());
-        assert!(
-            refusal.as_deref().is_some_and(|e| e.contains("--approx-k")),
-            "{refusal:?}"
-        );
     }
 }

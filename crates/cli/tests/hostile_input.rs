@@ -1,11 +1,13 @@
 //! Hostile command-line input ends in a usage error — exit status 1 and
 //! an `error:` line on stderr — never in a panic: non-finite
 //! coordinates, points of the wrong dimensionality (in memory and
-//! `--paged on`), a zero sample size (also for `serve`), a non-finite
-//! CSV row, and misspelt or retired flags.
+//! `--paged on`), a zero sample size (also for `serve`), bad `--cache`
+//! and `--threads` values (in both modes), a non-finite CSV row, and
+//! misspelt or retired flags.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// A CarDB dataset (2-d) with its persisted index in a directory of
 /// its own.
@@ -152,6 +154,49 @@ fn zero_sample_size_is_a_usage_error() {
         "--approx-k",
         "0",
     ]);
+}
+
+#[test]
+fn bad_cache_and_thread_values_are_usage_errors_in_both_modes() {
+    let f = fixture("engine_flags");
+    let paged = ["--paged", "on", "--index", &f.index];
+    for source in [&["--data", &f.data][..], &paged[..]] {
+        for bad in [["--cache", "maybe"], ["--threads", "0"]] {
+            assert_usage_error(&[&["rsl", "--query", "15000,80"], source, &bad[..]].concat());
+        }
+        // Refused before the server binds; a server that started instead
+        // is killed after 20 s.
+        let args = [
+            &["serve", "--addr", "127.0.0.1:0"],
+            source,
+            &["--cache", "maybe"],
+        ]
+        .concat();
+        let mut server = Command::new(env!("CARGO_BIN_EXE_wnrs"))
+            .args(&args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("run the wnrs binary");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let status = loop {
+            if let Some(status) = server.try_wait().expect("poll the server") {
+                break Some(status);
+            }
+            if Instant::now() > deadline {
+                let _ = server.kill();
+                let _ = server.wait();
+                break None;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert_eq!(
+            status.and_then(|s| s.code()),
+            Some(1),
+            "{args:?} did not refuse"
+        );
+        assert_usage_error(&args);
+    }
 }
 
 #[test]

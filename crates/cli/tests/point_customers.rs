@@ -1,7 +1,8 @@
 //! A customer named by point (`--whynot-point p --whynot i`) asks the
 //! same question in memory as with `--paged on`: every question command
 //! prints the same answer lines in both modes (the paged mode's trailing
-//! page-read line aside).
+//! page-read line aside), with the exact or the approximate safe region,
+//! with or without the cache, sequentially or on two threads.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -41,14 +42,23 @@ fn memory_and_paged_print_the_same_answers() {
             let (p, i) = (rows[i], i.to_string());
             for cmd in ["explain", "mwp", "mqp", "mwq", "safe-region"] {
                 let ask = ["--query", q, "--whynot-point", p, "--whynot", &i];
-                let memory = wnrs(&[&[cmd, "--data", &data][..], &ask].concat());
-                let paged = wnrs(&[&[cmd, "--paged", "on", "--index", &index][..], &ask].concat());
-                let (answer, stats) = paged
-                    .trim_end()
-                    .rsplit_once('\n')
-                    .expect("an answer and the page-read line");
-                assert!(stats.starts_with("[paged: "), "{cmd}: {stats}");
-                assert_eq!(memory, format!("{answer}\n"), "{cmd} q={q} customer {i}");
+                let regions: &[&[&str]] = match cmd {
+                    "mwq" | "safe-region" => &[&[], &["--approx-k", "8"]],
+                    _ => &[&[]],
+                };
+                let engines: [&[&str]; 3] = [&[], &["--cache", "on"], &["--threads", "2"]];
+                for (region, engine) in regions.iter().flat_map(|r| engines.map(|e| (r, e))) {
+                    let ask = [&ask[..], region, engine].concat();
+                    let memory = wnrs(&[&[cmd, "--data", &data][..], &ask].concat());
+                    let paged = [cmd, "--paged", "on", "--index", &index];
+                    let paged = wnrs(&[&paged[..], &ask].concat());
+                    let (answer, stats) = paged
+                        .trim_end()
+                        .rsplit_once('\n')
+                        .expect("an answer and the page-read line");
+                    assert!(stats.starts_with("[paged: "), "{cmd}: {stats}");
+                    assert_eq!(memory, format!("{answer}\n"), "{cmd} {ask:?}");
+                }
             }
         }
     }

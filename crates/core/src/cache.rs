@@ -81,7 +81,7 @@
 //!
 //! ## Memory bounds
 //!
-//! Each map has a capacity from [`CacheConfig`]. Overflow triggers an
+//! Each map has a fixed capacity. Overflow triggers an
 //! epoch flush of that map (cheap, allocation-free bookkeeping versus
 //! per-entry LRU chains); the dropped entries are counted as evictions
 //! in [`CacheStats`]. Per-customer maps are additionally bounded by the
@@ -122,37 +122,23 @@ pub type PairKey = (CoordKey, u32);
 /// fingerprint)` — see [`crate::ApproxDslStore::fingerprint`].
 pub type SrApproxKey = (CoordKey, u64);
 
-/// Capacity limits and the write-probe budget of the cache's maps.
-/// Overflowing a map flushes it (an "epoch flush"), counting the
-/// dropped entries as evictions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// Max entries in each per-query map (`RSL`, exact `SR`,
-    /// approximate `SR`, MWQ answers).
-    pub query_capacity: usize,
-    /// Max entries in the per-`(anchor, customer)` culprit-window map —
-    /// the largest map by far under batch MWQ, which probes one window
-    /// per safe-region corner per customer.
-    pub lambda_capacity: usize,
-    /// Max entries in each per-customer map (`DSL`, anti-DDR).
-    pub customer_capacity: usize,
-    /// Surgical invalidation's per-write budget of index probes
-    /// (affected-customer / membership window tests). A write whose
-    /// blast radius needs more probes than this falls back to a full
-    /// epoch flush, keeping pathological writes O(1) in probe work.
-    pub write_probe_budget: usize,
-}
+// Capacity limits of the cache's maps: overflowing a map flushes it
+// (an "epoch flush"), counting the dropped entries as evictions.
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            query_capacity: 1024,
-            lambda_capacity: 8192,
-            customer_capacity: 65_536,
-            write_probe_budget: 512,
-        }
-    }
-}
+/// Max entries in each per-query map (`RSL`, exact `SR`, approximate
+/// `SR`, MWQ answers).
+const QUERY_CAPACITY: usize = 1024;
+/// Max entries in the per-`(anchor, customer)` culprit-window map — the
+/// largest map by far under batch MWQ, which probes one window per
+/// safe-region corner per customer.
+const LAMBDA_CAPACITY: usize = 8192;
+/// Max entries in each per-customer map (`DSL`, DSL samples, anti-DDR).
+const CUSTOMER_CAPACITY: usize = 65_536;
+/// Surgical invalidation's per-write budget of index probes
+/// (affected-customer / membership window tests). A write whose blast
+/// radius needs more probes than this falls back to a full epoch flush,
+/// keeping pathological writes O(1) in probe work.
+pub(crate) const WRITE_PROBE_BUDGET: usize = 512;
 
 /// A monotonic snapshot of the cache's behaviour counters (also
 /// forwarded to `wnrs-obs` as the `engine_cache_*` / `cache_*`
@@ -365,7 +351,6 @@ impl CacheState {
 /// lock, fills a write lock, and the parallel batch paths share one
 /// instance across workers.
 pub struct EngineCache {
-    config: CacheConfig,
     generation: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -381,21 +366,25 @@ pub struct EngineCache {
     state: RwLock<CacheState>,
 }
 
+impl Default for EngineCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl std::fmt::Debug for EngineCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineCache")
-            .field("config", &self.config)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl EngineCache {
-    /// A fresh cache with the given capacities.
+    /// A fresh, empty cache.
     #[must_use]
-    pub fn new(config: CacheConfig) -> Self {
+    pub fn new() -> Self {
         EngineCache {
-            config,
             generation: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -410,12 +399,6 @@ impl EngineCache {
             stale_fills: AtomicU64::new(0),
             state: RwLock::new(CacheState::empty()),
         }
-    }
-
-    /// The configured capacities.
-    #[must_use]
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// The current generation (bumped by every dataset mutation).
@@ -768,7 +751,7 @@ impl EngineCache {
         let shared = Arc::new(dsl);
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
-            self.make_room(&mut state.dsl, self.config.customer_capacity);
+            self.make_room(&mut state.dsl, CUSTOMER_CAPACITY);
             state.dsl.insert(id, Arc::clone(&shared));
         }
         shared
@@ -802,7 +785,7 @@ impl EngineCache {
         let shared = Arc::new(entry);
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
-            self.make_room(&mut state.dsl_sample, self.config.customer_capacity);
+            self.make_room(&mut state.dsl_sample, CUSTOMER_CAPACITY);
             state.dsl_sample.insert((id, k), Arc::clone(&shared));
         }
         shared
@@ -821,7 +804,7 @@ impl EngineCache {
         let shared = Arc::new(region);
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
-            self.make_room(&mut state.addr, self.config.customer_capacity);
+            self.make_room(&mut state.addr, CUSTOMER_CAPACITY);
             state.addr.insert(key, Arc::clone(&shared));
         }
         shared
@@ -854,7 +837,7 @@ impl EngineCache {
         let shared = Arc::new(rsl);
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
-            self.make_room(&mut state.rsl, self.config.query_capacity);
+            self.make_room(&mut state.rsl, QUERY_CAPACITY);
             state.rsl.insert(
                 q_key,
                 RslEntry {
@@ -890,7 +873,7 @@ impl EngineCache {
         let shared = Arc::new(SrEntry { rsl_ids, region });
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
-            self.make_room(&mut state.sr_exact, self.config.query_capacity);
+            self.make_room(&mut state.sr_exact, QUERY_CAPACITY);
             state.sr_exact.insert(q_key, Arc::clone(&shared));
         }
         shared
@@ -920,7 +903,7 @@ impl EngineCache {
         let shared = Arc::new(SrEntry { rsl_ids, region });
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
-            self.make_room(&mut state.sr_approx, self.config.query_capacity);
+            self.make_room(&mut state.sr_approx, QUERY_CAPACITY);
             state.sr_approx.insert(key, Arc::clone(&shared));
         }
         shared
@@ -952,7 +935,7 @@ impl EngineCache {
         let shared = Arc::new(lambda);
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
-            self.make_room(&mut state.lambda, self.config.lambda_capacity);
+            self.make_room(&mut state.lambda, LAMBDA_CAPACITY);
             state.lambda.insert(
                 key,
                 LambdaEntry {
@@ -994,7 +977,7 @@ impl EngineCache {
         let shared = Arc::new(answer);
         let mut state = self.write_state();
         if self.fill_allowed(&state, expected_gen) {
-            self.make_room(&mut state.mwq, self.config.query_capacity);
+            self.make_room(&mut state.mwq, QUERY_CAPACITY);
             state.mwq.insert(
                 key,
                 MwqEntry {
@@ -1083,7 +1066,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_then_invalidate() {
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         let k = key(1.0, 2.0);
         assert!(cache.get_rsl(&k).is_none());
         cache.put_rsl(
@@ -1112,7 +1095,7 @@ mod tests {
 
     #[test]
     fn negative_zero_keys_unify() {
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         cache.put_rsl(
             cache.generation(),
             key(-0.0, 5.0),
@@ -1124,7 +1107,7 @@ mod tests {
 
     #[test]
     fn sr_entry_requires_matching_rsl_ids() {
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         let k = key(3.0, 4.0);
         let region = Region::from_rect(Rect::new(Point::xy(0.0, 0.0), Point::xy(1.0, 1.0)));
         cache.put_sr_exact(cache.generation(), k.clone(), vec![1, 2, 5], region);
@@ -1137,39 +1120,27 @@ mod tests {
 
     #[test]
     fn capacity_overflow_flushes_and_counts_evictions() {
-        let cache = EngineCache::new(CacheConfig {
-            query_capacity: 2,
-            lambda_capacity: 2,
-            customer_capacity: 2,
-            ..CacheConfig::default()
-        });
-        cache.put_rsl(
-            cache.generation(),
-            key(0.0, 0.0),
-            Point::xy(0.0, 0.0),
-            vec![],
+        let cache = EngineCache::new();
+        let put = |x: f64| {
+            cache.put_rsl(cache.generation(), key(x, 0.0), Point::xy(x, 0.0), vec![]);
+        };
+        for i in 0..QUERY_CAPACITY {
+            put(i as f64);
+        }
+        assert!(
+            cache.get_rsl(&key(0.0, 0.0)).is_some(),
+            "a full map keeps its entries"
         );
-        cache.put_rsl(
-            cache.generation(),
-            key(1.0, 0.0),
-            Point::xy(1.0, 0.0),
-            vec![],
-        );
-        // Third insert overflows: the map flushes first.
-        cache.put_rsl(
-            cache.generation(),
-            key(2.0, 0.0),
-            Point::xy(2.0, 0.0),
-            vec![],
-        );
+        // One more insert overflows: the map flushes first.
+        put(QUERY_CAPACITY as f64);
         assert!(cache.get_rsl(&key(0.0, 0.0)).is_none());
-        assert!(cache.get_rsl(&key(2.0, 0.0)).is_some());
-        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.get_rsl(&key(QUERY_CAPACITY as f64, 0.0)).is_some());
+        assert_eq!(cache.stats().evictions, QUERY_CAPACITY as u64);
     }
 
     #[test]
     fn lambda_keys_are_per_customer() {
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         let mut lambda = CulpritBlock::new(2);
         lambda.insert(ItemId(0), &[0.5, 0.5]);
         cache.put_lambda(
@@ -1186,7 +1157,7 @@ mod tests {
     fn generation_mismatch_is_a_miss() {
         // Exercise the defence-in-depth branch directly: bump the
         // counter without flushing (simulating a racy writer).
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         cache.put_rsl(
             cache.generation(),
             key(1.0, 1.0),
@@ -1204,7 +1175,7 @@ mod tests {
         // invalidates before the fill lands. Without the generation
         // check the insert would resurrect a pre-write answer whose
         // state generation looks current.
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         let k = key(1.0, 1.0);
         let expected_gen = cache.generation();
         assert!(cache.get_rsl(&k).is_none());
@@ -1235,7 +1206,7 @@ mod tests {
         // Customer 0 at the origin holds a DSL member at (1, 1).
         // Inserting (5, 5) is dynamically dominated by the member
         // (shielded: DSL unchanged); inserting (0.5, 0.5) is not.
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         let origin = Point::xy(0.0, 0.0);
         cache.put_dsl(
             cache.generation(),
@@ -1275,7 +1246,7 @@ mod tests {
 
     #[test]
     fn surgical_delete_evicts_dsl_containing_victim_only() {
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         cache.put_dsl(
             cache.generation(),
             0,
@@ -1325,7 +1296,7 @@ mod tests {
         // not dominate and the block stays untouched. Deleting the
         // written tuple again must remove exactly it. No entry is ever
         // evicted.
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         let anchor = Point::xy(10.0, 10.0);
         let mut lambda = CulpritBlock::new(2);
         lambda.insert(ItemId(12), &[5.0, 5.0]);
@@ -1404,7 +1375,7 @@ mod tests {
         // the dependencies and the optimum alone keep the entry; one
         // breaking the repair's feasibility (insert) or unblocking a
         // cheaper repair (delete) evicts it.
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         let k = (key(3.0, 3.0), 0);
         let answer = MwqAnswer {
             case: MwqCase::Disjoint,
@@ -1479,7 +1450,7 @@ mod tests {
 
     #[test]
     fn over_budget_write_falls_back_to_full_flush() {
-        let cache = EngineCache::new(CacheConfig::default());
+        let cache = EngineCache::new();
         cache.put_rsl(
             cache.generation(),
             key(1.0, 1.0),

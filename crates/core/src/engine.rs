@@ -1,27 +1,39 @@
-//! The [`WhyNotEngine`] façade: dataset + index + cost model + all four
-//! why-not answering techniques behind one API.
+//! The [`WhyNotEngine`]: an index, a cost model and all four why-not
+//! answering techniques behind one API, over either node source.
 //!
-//! Each question is written once, over private building-block lookups
-//! (dynamic skyline, anti-DDR, DSL sample, culprit window, and the
-//! reverse-skyline, safe-region and MWQ-answer memos). Without a cache a
-//! lookup computes its value; with [`WhyNotEngine::with_cache`] the same
-//! computation fills a [`EngineCache`] entry on a miss, so cached and
-//! uncached answers are bit-identical by construction.
+//! The engine is generic over where its R\*-tree's nodes live: the
+//! in-memory arena [`RTree`] (the default, so a plain `WhyNotEngine` is
+//! the in-memory engine) or a page file ([`crate::PagedEngine`]). Each
+//! question is written once, for any [`NodeSource`], over private
+//! building blocks (dynamic skyline, anti-DDR, DSL sample, culprit
+//! window, and the reverse-skyline, safe-region and MWQ-answer memos),
+//! each returning the source's error. Without a cache a block computes
+//! its value; with [`WhyNotEngine::with_cache`] the same computation
+//! fills an [`EngineCache`] entry on a miss, so cached and uncached
+//! answers are bit-identical by construction, and a computation that
+//! fails fills nothing.
+//!
+//! A why-not customer is resolved once per question into its point, its
+//! own-tuple exclusion and a memo key, which is set only for an indexed
+//! tuple's id. Only the in-memory engine owns a point arena (every
+//! customer's point by id), so only it resolves customers named by id
+//! and takes writes; the page-resident engine names customers by point.
 
 use crate::cache::{
-    CacheConfig, CacheStats, DslSampleEntry, EngineCache, SharedCulprits, SharedItems, WriteEvent,
-    WriteKind, WriteProbes,
+    CacheStats, DslSampleEntry, EngineCache, SharedCulprits, SharedItems, WriteEvent, WriteKind,
+    WriteProbes, WRITE_PROBE_BUDGET,
 };
 use crate::error::EngineError;
-use crate::explain::{explain, Explanation};
-use crate::mqp::{modify_query_point, modify_query_point_with_lambda, MqpAnswer};
-use crate::mwp::{modify_why_not_point, modify_why_not_point_with_lambda, MwpAnswer};
-use crate::mwq::{modify_both, modify_both_parts, MwqAnswer};
+use crate::explain::Explanation;
+use crate::mqp::{modify_query_point_with_lambda, MqpAnswer};
+use crate::mwp::{modify_why_not_point_with_lambda, MwpAnswer};
+use crate::mwq::{failed_repair, modify_both_parts, MwqAnswer};
 use crate::question::{Customer, Question, QuestionError, Reply};
 use crate::safe_region::{
     anti_ddr_from_dsl, approx_anti_ddr_of_sample, approx_safe_region_with, entry_fingerprint,
     exact_safe_region_by, ApproxDslStore,
 };
+use crate::verify::FirstError;
 use std::collections::HashMap;
 use std::sync::Arc;
 use wnrs_geometry::parallel::{intersect_all, map_slice};
@@ -29,22 +41,21 @@ use wnrs_geometry::{
     dominates_dyn, f64_key, release_region, CoordKey, CostModel, Parallelism, Point, Rect, Region,
 };
 use wnrs_reverse_skyline::{
-    bbrs_reverse_skyline, is_reverse_skyline_member, is_reverse_skyline_member_with,
-    window_query_with,
+    bbrs_reverse_skyline, is_reverse_skyline_member_with, reverse_skyline, window_query_with,
 };
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{into_ok, ItemId, RTree, RTreeConfig, WindowScratch};
+use wnrs_rtree::{into_ok, ItemId, NodeSource, RTree, RTreeConfig, WindowScratch};
 use wnrs_skyline::approx::{approx_dsl_sample_into, ApproxDslScratch};
-use wnrs_skyline::bbs_dynamic_skyline_excluding;
+use wnrs_skyline::dynamic_skyline;
 
 /// Default verification nudge (see [`crate::verify`]).
 pub const DEFAULT_EPS: f64 = 1e-9;
 
 /// A complete why-not reverse-skyline query engine over a monochromatic
 /// dataset (every point serves as product and customer, as in the
-/// paper's experiments). Bichromatic use is available through
-/// [`WhyNotEngine::answer`], whose questions may name customers outside
-/// the dataset.
+/// paper's experiments), indexed by the node source `S`. Bichromatic
+/// use is available through [`WhyNotEngine::answer`], whose questions
+/// may name customers outside the dataset.
 ///
 /// # Examples
 ///
@@ -69,14 +80,16 @@ pub const DEFAULT_EPS: f64 = 1e-9;
 /// let mwp = engine.mwp(ItemId(0), &q);
 /// assert!(mwp.best_cost() > 0.0);
 /// ```
-pub struct WhyNotEngine {
+pub struct WhyNotEngine<S: NodeSource = RTree> {
+    /// The point arena: every customer's point by id. A deleted customer
+    /// leaves the index but its id stays addressable (its point can
+    /// still pose why-not questions, like an external customer). Empty
+    /// over a page file, which has no id column.
     points: Vec<Point>,
-    /// Tombstones, parallel to `points`: a deleted customer leaves the
-    /// index but its id stays addressable (its point can still pose
-    /// why-not questions, like an external customer).
+    /// Tombstones, parallel to `points`.
     deleted: Vec<bool>,
     live: usize,
-    tree: RTree,
+    tree: S,
     universe: Rect,
     cost: CostModel,
     eps: f64,
@@ -84,7 +97,462 @@ pub struct WhyNotEngine {
     cache: Option<EngineCache>,
 }
 
-impl WhyNotEngine {
+/// A why-not customer resolved once per question: its point, the own
+/// tuple its skylines exclude, and its memo key — set only for an
+/// indexed tuple, whose id names the same point in every memo.
+#[derive(Clone, Copy)]
+pub(crate) struct Who<'a> {
+    point: &'a Point,
+    exclude: Option<ItemId>,
+    key: Option<u32>,
+}
+
+impl<'a> Who<'a> {
+    /// The indexed tuple `id` at `point`: a reverse-skyline member or a
+    /// customer resolved from the arena.
+    fn item(id: ItemId, point: &'a Point) -> Self {
+        Who {
+            point,
+            exclude: Some(id),
+            key: Some(id.0),
+        }
+    }
+
+    /// A customer named by point (own tuple `exclude`), memoised nowhere.
+    #[must_use]
+    pub(crate) fn point(point: &'a Point, exclude: Option<ItemId>) -> Self {
+        Who {
+            point,
+            exclude,
+            key: None,
+        }
+    }
+}
+
+impl<S: NodeSource> WhyNotEngine<S> {
+    /// An engine over `tree` with the point arena `points` (empty for a
+    /// page file), the verification nudge [`DEFAULT_EPS`], sequential
+    /// execution and no cache.
+    #[must_use]
+    pub(crate) fn over(tree: S, points: Vec<Point>, universe: Rect, cost: CostModel) -> Self {
+        Self {
+            deleted: vec![false; points.len()],
+            live: points.len(),
+            points,
+            tree,
+            universe,
+            cost,
+            eps: DEFAULT_EPS,
+            parallelism: Parallelism::sequential(),
+            cache: None,
+        }
+    }
+
+    /// Replaces the cost model.
+    #[must_use]
+    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
+        assert_eq!(cost.dim(), self.dim(), "cost model dimensionality mismatch");
+        self.cost = cost;
+        self
+    }
+
+    /// Replaces the concurrency policy used by safe-region construction,
+    /// the offline store build and the batch answering helpers. The
+    /// default is [`Parallelism::sequential`]; results are identical
+    /// whatever the policy (box ordering of regions aside).
+    #[must_use]
+    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
+        self.parallelism = parallelism;
+        self
+    }
+
+    /// The engine's concurrency policy.
+    pub fn parallelism(&self) -> &Parallelism {
+        &self.parallelism
+    }
+
+    /// Enables the cross-query cache. Cached answers are bit-identical
+    /// to uncached ones: every question runs the same building blocks,
+    /// which the cache memoises. Dataset mutations
+    /// ([`WhyNotEngine::insert`] / [`WhyNotEngine::delete`]) invalidate
+    /// surgically — only the entries a write can perturb are evicted.
+    #[must_use]
+    pub fn with_cache(mut self) -> Self {
+        self.cache = Some(EngineCache::new());
+        self
+    }
+
+    /// The cross-query cache, when enabled.
+    pub fn cache(&self) -> Option<&EngineCache> {
+        self.cache.as_ref()
+    }
+
+    /// A snapshot of the cache's behaviour counters, when enabled.
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        self.cache.as_ref().map(EngineCache::stats)
+    }
+
+    /// Dimensionality of the data.
+    pub fn dim(&self) -> usize {
+        self.tree.dim()
+    }
+
+    /// The index.
+    pub fn tree(&self) -> &S {
+        &self.tree
+    }
+
+    /// The data universe: the bounding box of the indexed points.
+    pub fn universe(&self) -> &Rect {
+        &self.universe
+    }
+
+    /// The data universe (bounding box), expanded to cover `q` when a
+    /// query falls outside it.
+    pub fn universe_for(&self, q: &Point) -> Rect {
+        self.universe.union_mbr(&Rect::degenerate(q.clone()))
+    }
+
+    /// The engine's cost model.
+    pub fn cost_model(&self) -> &CostModel {
+        &self.cost
+    }
+}
+
+impl<S> WhyNotEngine<S>
+where
+    S: NodeSource + Sync,
+    S::Error: Send,
+{
+    // ------------------------------------------------------------------
+    // Building blocks: each runs one compute closure, returned as is
+    // without a cache or a memo key; with both, a hit is served and a
+    // miss fills under the generation read before the lookup.
+    // ------------------------------------------------------------------
+
+    /// The dynamic skyline of `who` (own tuple excluded). It depends
+    /// only on the dataset, so one entry serves every universe and
+    /// shrink.
+    pub(crate) fn dsl(&self, who: &Who) -> Result<SharedItems, S::Error> {
+        let compute = || dynamic_skyline(&self.tree, who.point, who.exclude);
+        let (Some(cache), Some(id)) = (&self.cache, who.key) else {
+            return compute().map(Arc::new);
+        };
+        let expected_gen = cache.generation();
+        if let Some(dsl) = cache.get_dsl(id) {
+            return Ok(dsl);
+        }
+        Ok(cache.put_dsl(expected_gen, id, compute()?))
+    }
+
+    /// The anti-DDR of `who` for a given universe and shrink, built from
+    /// [`WhyNotEngine::dsl`].
+    fn anti_ddr(&self, who: &Who, universe: &Rect, shrink: f64) -> Result<Arc<Region>, S::Error> {
+        let compute = || {
+            let _span = wnrs_obs::span!("anti_ddr");
+            let dsl = self.dsl(who)?;
+            Ok(anti_ddr_from_dsl(who.point, &dsl, universe, shrink))
+        };
+        let (Some(cache), Some(id)) = (&self.cache, who.key) else {
+            return compute().map(Arc::new);
+        };
+        let key = (id, CoordKey::of_rect(universe), f64_key(shrink));
+        let expected_gen = cache.generation();
+        if let Some(region) = cache.get_addr(&key) {
+            return Ok(region);
+        }
+        Ok(cache.put_addr(expected_gen, key, compute()?))
+    }
+
+    /// The k-sampled DSL of `who`, computed with the same kernel the
+    /// eager offline [`ApproxDslStore::build`] runs per item
+    /// ([`wnrs_skyline::approx::approx_dsl_sample_into`], own tuple
+    /// excluded), so the entry's coordinates and
+    /// [`crate::safe_region::entry_fingerprint`] are bit-identical to
+    /// the corresponding store slice.
+    fn dsl_sample(&self, who: &Who, k: usize) -> Result<Arc<DslSampleEntry>, S::Error> {
+        let compute = || {
+            let mut scratch = ApproxDslScratch::new();
+            let c = who.point.coords();
+            let coords = approx_dsl_sample_into(&self.tree, c, who.exclude, k, &mut scratch)?
+                .coords()
+                .to_vec();
+            let fingerprint = entry_fingerprint(k, self.dim(), &coords);
+            Ok(DslSampleEntry {
+                coords,
+                fingerprint,
+            })
+        };
+        let (Some(cache), Some(id)) = (&self.cache, who.key) else {
+            return compute().map(Arc::new);
+        };
+        let expected_gen = cache.generation();
+        if let Some(entry) = cache.get_dsl_sample(id, k) {
+            return Ok(entry);
+        }
+        wnrs_obs::record(wnrs_obs::Counter::DslLazyMaterializations);
+        Ok(cache.put_dsl_sample(expected_gen, id, k, compute()?))
+    }
+
+    /// The culprit window `Λ = window(c_t, at)` of `who`, with the
+    /// window anchored at `at` (`q` itself, or a safe-region corner
+    /// during MWQ's C2 repairs).
+    fn lambda(&self, who: &Who, at: &Point) -> Result<SharedCulprits, S::Error> {
+        let compute = || {
+            let mut scratch = WindowScratch::new();
+            window_query_with(&self.tree, who.point, at, who.exclude, &mut scratch)
+        };
+        let (Some(cache), Some(id)) = (&self.cache, who.key) else {
+            return compute().map(Arc::new);
+        };
+        let key = (CoordKey::of_point(at), id);
+        let expected_gen = cache.generation();
+        if let Some(lambda) = cache.get_lambda(&key) {
+            return Ok(lambda);
+        }
+        Ok(cache.put_lambda(expected_gen, key, at.clone(), compute()?))
+    }
+
+    /// The reverse skyline of `q` (BBRS), sorted by item id.
+    pub(crate) fn rsl(&self, q: &Point) -> Result<Vec<(ItemId, Point)>, S::Error> {
+        let compute = || reverse_skyline(&self.tree, q);
+        let Some(cache) = &self.cache else {
+            return compute();
+        };
+        let q_key = CoordKey::of_point(q);
+        let expected_gen = cache.generation();
+        if let Some(rsl) = cache.get_rsl(&q_key) {
+            return Ok((*rsl).clone());
+        }
+        Ok((*cache.put_rsl(expected_gen, q_key, q.clone(), compute()?)).clone())
+    }
+
+    /// Algorithm 3 against a precomputed reverse skyline: the
+    /// intersection of the members' anti-DDRs, each member's own tuple
+    /// excluded.
+    pub(crate) fn exact_region(
+        &self,
+        q: &Point,
+        rsl: &[(ItemId, Point)],
+    ) -> Result<Region, S::Error> {
+        let compute = || {
+            let _span = wnrs_obs::span!("sr_exact");
+            let universe = self.universe_for(q);
+            exact_safe_region_by(rsl, &universe, &self.parallelism, |(id, c)| {
+                let region = self.anti_ddr(&Who::item(*id, c), &universe, 0.0)?;
+                Ok(Arc::try_unwrap(region).unwrap_or_else(|shared| (*shared).clone()))
+            })
+        };
+        let Some(cache) = &self.cache else {
+            return compute();
+        };
+        let q_key = CoordKey::of_point(q);
+        let rsl_ids = ids_of(rsl);
+        let expected_gen = cache.generation();
+        if let Some(entry) = cache.get_sr_exact(&q_key, &rsl_ids) {
+            return Ok(entry.region.clone());
+        }
+        let entry = cache.put_sr_exact(expected_gen, q_key, rsl_ids, compute()?);
+        Ok(entry.region.clone())
+    }
+
+    /// The approximate safe region of `q` over `rsl`, memoised under
+    /// `fingerprint` (an eager store's, or the combined fingerprint of
+    /// the members' lazy samples); a hit also needs the same member ids.
+    fn sr_approx(
+        &self,
+        q: &Point,
+        fingerprint: u64,
+        rsl: &[(ItemId, Point)],
+        compute: impl FnOnce() -> Result<Region, S::Error>,
+    ) -> Result<Region, S::Error> {
+        let Some(cache) = &self.cache else {
+            return compute();
+        };
+        let key = (CoordKey::of_point(q), fingerprint);
+        let rsl_ids = ids_of(rsl);
+        let expected_gen = cache.generation();
+        if let Some(entry) = cache.get_sr_approx(&key, &rsl_ids) {
+            return Ok(entry.region.clone());
+        }
+        let entry = cache.put_sr_approx(expected_gen, key, rsl_ids, compute()?);
+        Ok(entry.region.clone())
+    }
+
+    /// The approximate safe region of `q` from lazily materialised
+    /// `k`-sampled DSLs of the members (`k ≥ 1`).
+    pub(crate) fn lazy_region(
+        &self,
+        q: &Point,
+        rsl: &[(ItemId, Point)],
+        k: usize,
+    ) -> Result<Region, S::Error> {
+        let samples = map_slice(rsl, &self.parallelism, |(id, c)| {
+            self.dsl_sample(&Who::item(*id, c), k)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        // Content-addressed like the eager path, but over the members'
+        // sample fingerprints (the lazy layer has no whole-store
+        // fingerprint) — plus a tag keeping the key space disjoint from
+        // eager store fingerprints.
+        let fingerprint = combined_sample_fingerprint(k, &samples);
+        self.sr_approx(q, fingerprint, rsl, || {
+            let _span = wnrs_obs::span!("sr_approx");
+            let universe = self.universe_for(q);
+            let members: Vec<(&Point, &DslSampleEntry)> = rsl
+                .iter()
+                .zip(&samples)
+                .map(|((_, c), sample)| (c, sample.as_ref()))
+                .collect();
+            let regions = map_slice(&members, &self.parallelism, |(c, sample)| {
+                approx_anti_ddr_of_sample(&sample.coords, c, &universe)
+            });
+            Ok(intersect_all(regions, &self.parallelism)
+                .unwrap_or_else(|| Region::from_rect(universe)))
+        })
+    }
+
+    /// MWQ for `who` against the full-RSL `SR(q)`, memoised per
+    /// `(q, customer)` pair with the members' ids and the region's
+    /// bounding box as its dependencies — safe here (unlike plain
+    /// [`WhyNotEngine::mwq_of`]) because the region is known to be
+    /// `SR(q)`.
+    fn mwq_answer(
+        &self,
+        who: &Who,
+        q: &Point,
+        rsl: &[(ItemId, Point)],
+        sr: &Region,
+    ) -> Result<MwqAnswer, S::Error> {
+        let compute = || self.mwq_of(who, q, sr);
+        let (Some(cache), Some(id)) = (&self.cache, who.key) else {
+            return compute();
+        };
+        let key = (CoordKey::of_point(q), id);
+        let expected_gen = cache.generation();
+        if let Some(ans) = cache.get_mwq(&key) {
+            return Ok((*ans).clone());
+        }
+        let sr_bb = sr.bounding().unwrap_or_else(|| Rect::degenerate(q.clone()));
+        let ans = cache.put_mwq(expected_gen, key, q.clone(), ids_of(rsl), sr_bb, compute()?);
+        Ok((*ans).clone())
+    }
+
+    // ------------------------------------------------------------------
+    // Questions, each over a resolved customer
+    // ------------------------------------------------------------------
+
+    /// Whether `who` is in `RSL(q)`.
+    pub(crate) fn is_member_of(&self, who: &Who, q: &Point) -> Result<bool, S::Error> {
+        let mut scratch = WindowScratch::new();
+        is_reverse_skyline_member_with(&self.tree, who.point, q, who.exclude, &mut scratch)
+    }
+
+    /// Aspect 1: why is `who` missing from `RSL(q)`?
+    pub(crate) fn explain_of(&self, who: &Who, q: &Point) -> Result<Explanation, S::Error> {
+        let _span = wnrs_obs::span!("explain");
+        Ok(Explanation {
+            culprits: self.lambda(who, q)?.to_items(),
+        })
+    }
+
+    /// Algorithm 1 (MWP) for `who`.
+    pub(crate) fn mwp_of(&self, who: &Who, q: &Point) -> Result<MwpAnswer, S::Error> {
+        let _span = wnrs_obs::span!("mwp");
+        let lambda = self.lambda(who, q)?;
+        let (c, ex, cost, eps) = (who.point, who.exclude, &self.cost, self.eps);
+        modify_why_not_point_with_lambda(&self.tree, c, q, &lambda, ex, cost, eps)
+    }
+
+    /// Algorithm 2 (MQP) for `who`.
+    pub(crate) fn mqp_of(&self, who: &Who, q: &Point) -> Result<MqpAnswer, S::Error> {
+        let _span = wnrs_obs::span!("mqp");
+        let lambda = self.lambda(who, q)?;
+        let (c, ex, cost, eps) = (who.point, who.exclude, &self.cost, self.eps);
+        modify_query_point_with_lambda(&self.tree, c, q, &lambda, ex, cost, eps)
+    }
+
+    /// Algorithm 4 (MWQ) for `who` against a precomputed safe region
+    /// (exact or approximate).
+    pub(crate) fn mwq_of(&self, who: &Who, q: &Point, sr: &Region) -> Result<MwqAnswer, S::Error> {
+        let _span = wnrs_obs::span!("mwq");
+        // The ε-shrunk anti-DDR: see `modify_both` for why both regions
+        // are shrunk by the verification nudge.
+        let addr = self.anti_ddr(who, &self.universe_for(q), self.eps)?;
+        let (c, cost, eps) = (who.point, &self.cost, self.eps);
+        // After a failed repair the remaining corners get a stand-in that
+        // can never win, and the error is returned instead of the answer.
+        let failed = FirstError::new();
+        let ans = modify_both_parts(sr, c, q, cost, &addr, eps, |at| {
+            failed.run(|| self.mwp_of(who, at), || failed_repair(at))
+        });
+        failed.finish(ans)
+    }
+
+    /// Resolves `customer` for a question: a point as given, an id
+    /// through the point arena.
+    fn resolve<'a>(&'a self, customer: &'a Customer) -> Result<Who<'a>, QuestionError> {
+        let id = match customer {
+            Customer::External(c) | Customer::PointExcluding(c, _) => {
+                return Ok(Who::point(c, customer.exclusion()))
+            }
+            Customer::Id(id) => *id,
+        };
+        let len = self.points.len();
+        match self.points.get(id.0 as usize) {
+            Some(point) => Ok(Who::item(id, point)),
+            None if len == 0 => Err(QuestionError::Unsupported(
+                "the paged engine names customers by point (external or point-excluding)",
+            )),
+            None => Err(QuestionError::UnknownCustomer { id, len }),
+        }
+    }
+
+    /// Answers `question`: the one table mapping a question to a
+    /// technique, after [`Question::check`]. The customer is resolved
+    /// before any index work; an id needs the point arena, so an engine
+    /// over a page file answers it [`QuestionError::Unsupported`].
+    /// Approximate safe regions come from lazily materialised
+    /// `k`-sampled DSLs of the members.
+    ///
+    /// # Errors
+    ///
+    /// [`QuestionError`] for a false premise, a customer named by id
+    /// without a point arena, or a failed page read.
+    pub fn answer(&self, question: &Question) -> Result<Reply, QuestionError>
+    where
+        QuestionError: From<S::Error>,
+    {
+        question.check(self.dim())?;
+        let region = |q: &Point, rsl: &[(ItemId, Point)]| match question.approx_k() {
+            Some(k) => self.lazy_region(q, rsl, k),
+            None => self.exact_region(q, rsl),
+        };
+        Ok(match question {
+            Question::Rsl { q } => Reply::Rsl(self.rsl(q)?),
+            Question::Explain { customer, q } => {
+                Reply::Explain(self.explain_of(&self.resolve(customer)?, q)?)
+            }
+            Question::Mwp { customer, q } => Reply::Mwp(self.mwp_of(&self.resolve(customer)?, q)?),
+            Question::Mqp { customer, q } => Reply::Mqp(self.mqp_of(&self.resolve(customer)?, q)?),
+            Question::SafeRegion { q, .. } => {
+                let rsl = self.rsl(q)?;
+                let (members, region) = (rsl.len(), region(q, &rsl)?);
+                Reply::SafeRegion { members, region }
+            }
+            Question::Mwq { customer, q, .. } => {
+                let who = self.resolve(customer)?;
+                let rsl = self.rsl(q)?;
+                let sr = region(q, &rsl)?;
+                let (members, answer) = (rsl.len(), self.mwq_of(&who, q, &sr)?);
+                Reply::Mwq { members, answer }
+            }
+        })
+    }
+}
+
+impl WhyNotEngine<RTree> {
     /// Builds an engine with the paper's defaults: R\*-tree with
     /// 1536-byte page geometry (bulk-loaded), min–max-normalised equal
     /// weights, verification nudge [`DEFAULT_EPS`].
@@ -110,20 +578,8 @@ impl WhyNotEngine {
             return Err(EngineError::EmptyDataset);
         }
         let tree = bulk_load(&points, config);
-        let universe = Rect::bounding(&points);
-        let cost = CostModel::paper_default(&points);
-        let live = points.len();
-        Ok(Self {
-            deleted: vec![false; points.len()],
-            live,
-            points,
-            tree,
-            universe,
-            cost,
-            eps: DEFAULT_EPS,
-            parallelism: Parallelism::sequential(),
-            cache: None,
-        })
+        let (universe, cost) = (Rect::bounding(&points), CostModel::paper_default(&points));
+        Ok(Self::over(tree, points, universe, cost))
     }
 
     /// Builds an engine around an existing tree (e.g. one reloaded from
@@ -160,19 +616,8 @@ impl WhyNotEngine {
             });
         }
         let points: Vec<Point> = slots.into_iter().flatten().collect();
-        let universe = Rect::bounding(&points);
-        let cost = CostModel::paper_default(&points);
-        Ok(Self {
-            deleted: vec![false; n],
-            live: n,
-            points,
-            tree,
-            universe,
-            cost,
-            eps: DEFAULT_EPS,
-            parallelism: Parallelism::sequential(),
-            cache: None,
-        })
+        let (universe, cost) = (Rect::bounding(&points), CostModel::paper_default(&points));
+        Ok(Self::over(tree, points, universe, cost))
     }
 
     /// Panicking façade over [`WhyNotEngine::try_new`] for examples,
@@ -196,62 +641,6 @@ impl WhyNotEngine {
     pub fn with_config(points: Vec<Point>, config: RTreeConfig) -> Self {
         // lint:allow(no_panic) reason=documented panicking facade over try_with_config
         Self::try_with_config(points, config).expect("engine needs at least one data point")
-    }
-
-    /// Panicking façade over [`WhyNotEngine::try_from_tree`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tree is empty or its item ids are not dense.
-    #[must_use]
-    pub fn from_tree(tree: RTree) -> Self {
-        // lint:allow(no_panic) reason=documented panicking facade over try_from_tree
-        Self::try_from_tree(tree).expect("engine needs a non-empty tree with dense item ids")
-    }
-
-    /// Replaces the cost model.
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        assert_eq!(cost.dim(), self.dim(), "cost model dimensionality mismatch");
-        self.cost = cost;
-        self
-    }
-
-    /// Replaces the concurrency policy used by safe-region construction,
-    /// the offline store build and the batch answering helpers. The
-    /// default is [`Parallelism::sequential`]; results are identical
-    /// whatever the policy (box ordering of regions aside).
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The engine's concurrency policy.
-    pub fn parallelism(&self) -> &Parallelism {
-        &self.parallelism
-    }
-
-    /// Enables the cross-query cache with default capacities (see
-    /// [`CacheConfig`]). Cached answers are bit-identical to uncached
-    /// ones: every question runs the same building blocks, which the
-    /// cache memoises. Dataset mutations ([`WhyNotEngine::insert`] /
-    /// [`WhyNotEngine::delete`]) invalidate surgically — only the
-    /// entries a write can perturb are evicted.
-    #[must_use]
-    pub fn with_cache(mut self) -> Self {
-        self.cache = Some(EngineCache::new(CacheConfig::default()));
-        self
-    }
-
-    /// The cross-query cache, when enabled.
-    pub fn cache(&self) -> Option<&EngineCache> {
-        self.cache.as_ref()
-    }
-
-    /// A snapshot of the cache's behaviour counters, when enabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(EngineCache::stats)
     }
 
     // ------------------------------------------------------------------
@@ -364,7 +753,7 @@ impl WhyNotEngine {
             by_query: HashMap::new(),
             shields: None,
             probes_used: 0,
-            budget: cache.config().write_probe_budget,
+            budget: WRITE_PROBE_BUDGET,
         };
         cache.invalidate_surgical(&ev, &mut probes);
     }
@@ -377,11 +766,6 @@ impl WhyNotEngine {
     /// Whether `id` names a live (inserted, not deleted) data point.
     pub fn is_live(&self, id: ItemId) -> bool {
         (id.0 as usize) < self.points.len() && !self.deleted[id.0 as usize]
-    }
-
-    /// Dimensionality of the data.
-    pub fn dim(&self) -> usize {
-        self.points[0].dim()
     }
 
     /// The dataset.
@@ -399,194 +783,33 @@ impl WhyNotEngine {
         self.points.is_empty()
     }
 
-    /// The underlying R\*-tree.
-    pub fn tree(&self) -> &RTree {
-        &self.tree
-    }
-
-    /// The data universe (bounding box), expanded to cover `q` when a
-    /// query falls outside it.
-    pub fn universe_for(&self, q: &Point) -> Rect {
-        self.universe.union_mbr(&Rect::degenerate(q.clone()))
-    }
-
-    /// The engine's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The point of a dataset customer.
     pub fn point(&self, id: ItemId) -> &Point {
         &self.points[id.0 as usize]
     }
 
-    // ------------------------------------------------------------------
-    // Building blocks: each runs one compute closure, returned as is
-    // without a cache; with one, a hit is served and a miss fills under
-    // the generation read before the lookup.
-    // ------------------------------------------------------------------
-
-    /// The dynamic skyline of customer `id` (own tuple excluded). It
-    /// depends only on the dataset, so one entry serves every universe
-    /// and shrink.
-    fn dsl(&self, id: ItemId) -> SharedItems {
-        let compute = || bbs_dynamic_skyline_excluding(&self.tree, self.point(id), Some(id));
-        let Some(cache) = &self.cache else {
-            return Arc::new(compute());
-        };
-        let expected_gen = cache.generation();
-        if let Some(dsl) = cache.get_dsl(id.0) {
-            return dsl;
-        }
-        cache.put_dsl(expected_gen, id.0, compute())
-    }
-
-    /// The anti-DDR of customer `id` for a given universe and shrink,
-    /// built from [`WhyNotEngine::dsl`].
-    fn anti_ddr(&self, id: ItemId, universe: &Rect, shrink: f64) -> Arc<Region> {
-        let compute = || {
-            let _span = wnrs_obs::span!("anti_ddr");
-            anti_ddr_from_dsl(self.point(id), &self.dsl(id), universe, shrink)
-        };
-        let Some(cache) = &self.cache else {
-            return Arc::new(compute());
-        };
-        let key = (id.0, CoordKey::of_rect(universe), f64_key(shrink));
-        let expected_gen = cache.generation();
-        if let Some(region) = cache.get_addr(&key) {
-            return region;
-        }
-        cache.put_addr(expected_gen, key, compute())
-    }
-
-    /// The k-sampled DSL of customer `id`, computed with the same kernel
-    /// the eager offline [`ApproxDslStore::build`] runs per item
-    /// ([`wnrs_skyline::approx::approx_dsl_sample_into`], own tuple
-    /// excluded), so the entry's coordinates and
-    /// [`crate::safe_region::entry_fingerprint`] are bit-identical to
-    /// the corresponding store slice.
-    fn dsl_sample(&self, id: ItemId, k: usize) -> Arc<DslSampleEntry> {
-        let compute = || {
-            let mut scratch = ApproxDslScratch::new();
-            let c = self.point(id).coords();
-            let coords = approx_dsl_sample_into(&self.tree, c, Some(id), k, &mut scratch)
-                .coords()
-                .to_vec();
-            let fingerprint = entry_fingerprint(k, self.dim(), &coords);
-            DslSampleEntry {
-                coords,
-                fingerprint,
-            }
-        };
-        let Some(cache) = &self.cache else {
-            return Arc::new(compute());
-        };
-        let expected_gen = cache.generation();
-        if let Some(entry) = cache.get_dsl_sample(id.0, k) {
-            return entry;
-        }
-        wnrs_obs::record(wnrs_obs::Counter::DslLazyMaterializations);
-        cache.put_dsl_sample(expected_gen, id.0, k, compute())
-    }
-
-    /// The culprit window `Λ = window(c_t, at)` of customer `id`, with
-    /// the window anchored at `at` (`q` itself, or a safe-region corner
-    /// during MWQ's C2 repairs).
-    fn lambda(&self, id: ItemId, at: &Point) -> SharedCulprits {
-        let compute = || {
-            let mut scratch = WindowScratch::new();
-            into_ok(window_query_with(
-                &self.tree,
-                self.point(id),
-                at,
-                Some(id),
-                &mut scratch,
-            ))
-        };
-        let Some(cache) = &self.cache else {
-            return Arc::new(compute());
-        };
-        let key = (CoordKey::of_point(at), id.0);
-        let expected_gen = cache.generation();
-        if let Some(lambda) = cache.get_lambda(&key) {
-            return lambda;
-        }
-        cache.put_lambda(expected_gen, key, at.clone(), compute())
-    }
-
-    /// The approximate safe region of `q` over `rsl`, memoised under
-    /// `fingerprint` (an eager store's, or the combined fingerprint of
-    /// the members' lazy samples); a hit also needs the same member ids.
-    fn sr_approx(
-        &self,
-        q: &Point,
-        fingerprint: u64,
-        rsl: &[(ItemId, Point)],
-        compute: impl FnOnce() -> Region,
-    ) -> Region {
-        let Some(cache) = &self.cache else {
-            return compute();
-        };
-        let key = (CoordKey::of_point(q), fingerprint);
-        let rsl_ids = ids_of(rsl);
-        let expected_gen = cache.generation();
-        if let Some(entry) = cache.get_sr_approx(&key, &rsl_ids) {
-            return entry.region.clone();
-        }
-        cache
-            .put_sr_approx(expected_gen, key, rsl_ids, compute())
-            .region
-            .clone()
-    }
-
-    /// MWQ for customer `id` against the full-RSL `SR(q)`, memoised per
-    /// `(q, customer)` pair with the members' ids and the region's
-    /// bounding box as its dependencies — safe here (unlike plain
-    /// [`WhyNotEngine::mwq`]) because the region is known to be `SR(q)`.
-    fn mwq_answer(&self, id: ItemId, q: &Point, rsl: &[(ItemId, Point)], sr: &Region) -> MwqAnswer {
-        let compute = || self.mwq(id, q, sr);
-        let Some(cache) = &self.cache else {
-            return compute();
-        };
-        let key = (CoordKey::of_point(q), id.0);
-        let expected_gen = cache.generation();
-        if let Some(ans) = cache.get_mwq(&key) {
-            return (*ans).clone();
-        }
-        let sr_bb = sr.bounding().unwrap_or_else(|| Rect::degenerate(q.clone()));
-        let ans = cache.put_mwq(expected_gen, key, q.clone(), ids_of(rsl), sr_bb, compute());
-        (*ans).clone()
+    /// Dataset customer `id`, resolved from the arena.
+    fn who(&self, id: ItemId) -> Who<'_> {
+        Who::item(id, self.point(id))
     }
 
     // ------------------------------------------------------------------
-    // Queries
+    // Queries by customer id
     // ------------------------------------------------------------------
 
     /// The reverse skyline of `q` (BBRS), sorted by item id.
     pub fn reverse_skyline(&self, q: &Point) -> Vec<(ItemId, Point)> {
-        let compute = || bbrs_reverse_skyline(&self.tree, q);
-        let Some(cache) = &self.cache else {
-            return compute();
-        };
-        let q_key = CoordKey::of_point(q);
-        let expected_gen = cache.generation();
-        if let Some(rsl) = cache.get_rsl(&q_key) {
-            return (*rsl).clone();
-        }
-        (*cache.put_rsl(expected_gen, q_key, q.clone(), compute())).clone()
+        into_ok(self.rsl(q))
     }
 
     /// Whether dataset customer `id` is in `RSL(q)`.
     pub fn is_member(&self, id: ItemId, q: &Point) -> bool {
-        is_reverse_skyline_member(&self.tree, self.point(id), q, Some(id))
+        into_ok(self.is_member_of(&self.who(id), q))
     }
 
     /// Aspect 1: why is customer `id` missing from `RSL(q)`?
     pub fn explain(&self, id: ItemId, q: &Point) -> Explanation {
-        let _span = wnrs_obs::span!("explain");
-        Explanation {
-            culprits: self.lambda(id, q).to_items(),
-        }
+        into_ok(self.explain_of(&self.who(id), q))
     }
 
     /// Algorithm 1 (MWP) for dataset customer `id`.
@@ -610,17 +833,7 @@ impl WhyNotEngine {
     /// assert!(ans.candidates[0].verified);
     /// ```
     pub fn mwp(&self, id: ItemId, q: &Point) -> MwpAnswer {
-        let _span = wnrs_obs::span!("mwp");
-        let lambda = self.lambda(id, q);
-        into_ok(modify_why_not_point_with_lambda(
-            &self.tree,
-            self.point(id),
-            q,
-            &lambda,
-            Some(id),
-            &self.cost,
-            self.eps,
-        ))
+        into_ok(self.mwp_of(&self.who(id), q))
     }
 
     /// Algorithm 2 (MQP) for dataset customer `id`.
@@ -645,17 +858,7 @@ impl WhyNotEngine {
     /// assert!(ans.best_cost() > 0.0);
     /// ```
     pub fn mqp(&self, id: ItemId, q: &Point) -> MqpAnswer {
-        let _span = wnrs_obs::span!("mqp");
-        let lambda = self.lambda(id, q);
-        into_ok(modify_query_point_with_lambda(
-            &self.tree,
-            self.point(id),
-            q,
-            &lambda,
-            Some(id),
-            &self.cost,
-            self.eps,
-        ))
+        into_ok(self.mqp_of(&self.who(id), q))
     }
 
     /// Algorithm 3: the exact safe region of `q`. Computes `RSL(q)`
@@ -686,35 +889,10 @@ impl WhyNotEngine {
     }
 
     /// Algorithm 3 against a precomputed reverse skyline: the
-    /// intersection of the members' anti-DDRs, each member resolved by
-    /// its id (own tuple excluded).
+    /// intersection of the members' anti-DDRs, each member's own tuple
+    /// excluded.
     pub fn safe_region_for(&self, q: &Point, rsl: &[(ItemId, Point)]) -> Region {
-        let compute = || {
-            let _span = wnrs_obs::span!("sr_exact");
-            let universe = self.universe_for(q);
-            into_ok(exact_safe_region_by(
-                rsl,
-                &universe,
-                &self.parallelism,
-                |(id, _)| {
-                    let region = self.anti_ddr(*id, &universe, 0.0);
-                    Ok(Arc::try_unwrap(region).unwrap_or_else(|shared| (*shared).clone()))
-                },
-            ))
-        };
-        let Some(cache) = &self.cache else {
-            return compute();
-        };
-        let q_key = CoordKey::of_point(q);
-        let rsl_ids = ids_of(rsl);
-        let expected_gen = cache.generation();
-        if let Some(entry) = cache.get_sr_exact(&q_key, &rsl_ids) {
-            return entry.region.clone();
-        }
-        cache
-            .put_sr_exact(expected_gen, q_key, rsl_ids, compute())
-            .region
-            .clone()
+        into_ok(self.exact_region(q, rsl))
     }
 
     /// Builds the offline approximate-DSL store (Section VI-B.1).
@@ -729,9 +907,14 @@ impl WhyNotEngine {
         rsl: &[(ItemId, Point)],
         store: &ApproxDslStore,
     ) -> Region {
-        self.sr_approx(q, store.fingerprint(), rsl, || {
-            approx_safe_region_with(store, rsl, &self.universe_for(q), &self.parallelism)
-        })
+        into_ok(self.sr_approx(q, store.fingerprint(), rsl, || {
+            Ok(approx_safe_region_with(
+                store,
+                rsl,
+                &self.universe_for(q),
+                &self.parallelism,
+            ))
+        }))
     }
 
     /// The approximate safe region of `q` from **lazily materialised**
@@ -751,25 +934,7 @@ impl WhyNotEngine {
     /// Panics if `k == 0`.
     pub fn approx_safe_region_lazy(&self, q: &Point, rsl: &[(ItemId, Point)], k: usize) -> Region {
         assert!(k > 0, "sample size k must be positive");
-        let samples = map_slice(rsl, &self.parallelism, |(id, _)| self.dsl_sample(*id, k));
-        // Content-addressed like the eager path, but over the members'
-        // sample fingerprints (the lazy layer has no whole-store
-        // fingerprint) — plus a tag keeping the key space disjoint from
-        // eager store fingerprints.
-        let fingerprint = combined_sample_fingerprint(k, &samples);
-        self.sr_approx(q, fingerprint, rsl, || {
-            let _span = wnrs_obs::span!("sr_approx");
-            let universe = self.universe_for(q);
-            let members: Vec<(&Point, &DslSampleEntry)> = rsl
-                .iter()
-                .zip(&samples)
-                .map(|((_, c), sample)| (c, sample.as_ref()))
-                .collect();
-            let regions = map_slice(&members, &self.parallelism, |(c, sample)| {
-                approx_anti_ddr_of_sample(&sample.coords, c, &universe)
-            });
-            intersect_all(regions, &self.parallelism).unwrap_or_else(|| Region::from_rect(universe))
-        })
+        into_ok(self.lazy_region(q, rsl, k))
     }
 
     /// The lazily materialised k-sampled DSL entry of customer `id`:
@@ -782,7 +947,7 @@ impl WhyNotEngine {
     /// Panics if `k == 0`.
     pub fn lazy_dsl_sample(&self, id: ItemId, k: usize) -> Arc<DslSampleEntry> {
         assert!(k > 0, "sample size k must be positive");
-        self.dsl_sample(id, k)
+        into_ok(self.dsl_sample(&self.who(id), k))
     }
 
     /// Algorithm 4 (MWQ) for dataset customer `id`, against a
@@ -808,12 +973,7 @@ impl WhyNotEngine {
     /// assert!(ans.cost <= engine.mwp(ItemId(0), &q).best_cost() + 1e-9);
     /// ```
     pub fn mwq(&self, id: ItemId, q: &Point, sr: &Region) -> MwqAnswer {
-        let _span = wnrs_obs::span!("mwq");
-        // The ε-shrunk anti-DDR: see `modify_both` for why both regions
-        // are shrunk by the verification nudge.
-        let addr = self.anti_ddr(id, &self.universe_for(q), self.eps);
-        let (c, cost, eps) = (self.point(id), &self.cost, self.eps);
-        modify_both_parts(sr, c, q, cost, &addr, eps, |at| self.mwp(id, at))
+        into_ok(self.mwq_of(&self.who(id), q, sr))
     }
 
     /// End-to-end convenience: compute the safe region and run MWQ.
@@ -822,73 +982,8 @@ impl WhyNotEngine {
     pub fn mwq_full(&self, id: ItemId, q: &Point) -> (Region, MwqAnswer) {
         let rsl = self.reverse_skyline(q);
         let sr = self.safe_region_for(q, &rsl);
-        let ans = self.mwq_answer(id, q, &rsl, &sr);
+        let ans = into_ok(self.mwq_answer(&self.who(id), q, &rsl, &sr));
         (sr, ans)
-    }
-
-    /// Answers `question`: the one table mapping a question to this
-    /// engine's techniques, after [`Question::check`] and the id check.
-    /// A customer named by id goes through the id methods (and so
-    /// through the cache, when enabled), one named by point through the
-    /// `NodeSource`-generic functions the paged engine calls. Approximate safe regions come from
-    /// [`WhyNotEngine::approx_safe_region_lazy`].
-    ///
-    /// # Errors
-    ///
-    /// [`QuestionError`] for a false premise.
-    pub fn answer(&self, question: &Question) -> Result<Reply, QuestionError> {
-        question.check(self.dim())?;
-        if let Some(&Customer::Id(id)) = question.customer() {
-            if id.0 as usize >= self.len() {
-                let len = self.len();
-                return Err(QuestionError::UnknownCustomer { id, len });
-            }
-        }
-        let (tree, cost, eps) = (&self.tree, &self.cost, self.eps);
-        let safe_region = |q: &Point, rsl: &[(ItemId, Point)]| match question.approx_k() {
-            Some(k) => self.approx_safe_region_lazy(q, rsl, k),
-            None => self.safe_region_for(q, rsl),
-        };
-        Ok(match question {
-            Question::Rsl { q } => Reply::Rsl(self.reverse_skyline(q)),
-            Question::Explain { customer, q } => Reply::Explain(match customer {
-                Customer::Id(id) => self.explain(*id, q),
-                Customer::External(c) | Customer::PointExcluding(c, _) => {
-                    into_ok(explain(tree, c, q, customer.exclusion()))
-                }
-            }),
-            Question::Mwp { customer, q } => Reply::Mwp(match customer {
-                Customer::Id(id) => self.mwp(*id, q),
-                Customer::External(c) | Customer::PointExcluding(c, _) => into_ok(
-                    modify_why_not_point(tree, c, q, customer.exclusion(), cost, eps),
-                ),
-            }),
-            Question::Mqp { customer, q } => Reply::Mqp(match customer {
-                Customer::Id(id) => self.mqp(*id, q),
-                Customer::External(c) | Customer::PointExcluding(c, _) => into_ok(
-                    modify_query_point(tree, c, q, customer.exclusion(), cost, eps),
-                ),
-            }),
-            Question::SafeRegion { q, .. } => {
-                let rsl = self.reverse_skyline(q);
-                let (members, region) = (rsl.len(), safe_region(q, &rsl));
-                Reply::SafeRegion { members, region }
-            }
-            Question::Mwq { customer, q, .. } => {
-                let rsl = self.reverse_skyline(q);
-                let sr = safe_region(q, &rsl);
-                let answer = match customer {
-                    Customer::Id(id) => self.mwq(*id, q, &sr),
-                    Customer::External(c) | Customer::PointExcluding(c, _) => {
-                        let universe = self.universe_for(q);
-                        let exclude = customer.exclusion();
-                        into_ok(modify_both(tree, &sr, c, q, exclude, cost, &universe, eps))
-                    }
-                };
-                let members = rsl.len();
-                Reply::Mwq { members, answer }
-            }
-        })
     }
 
     // ------------------------------------------------------------------
@@ -910,7 +1005,7 @@ impl WhyNotEngine {
         let rsl = self.reverse_skyline(q);
         let sr = self.safe_region_for(q, &rsl);
         let answers = map_slice(ids, &self.parallelism, |&id| {
-            (id, self.mwq_answer(id, q, &rsl, &sr))
+            (id, into_ok(self.mwq_answer(&self.who(id), q, &rsl, &sr)))
         });
         (sr, answers)
     }
@@ -1133,6 +1228,8 @@ impl WriteProbes for EngineWriteProbes<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mqp::modify_query_point;
+    use crate::mwp::modify_why_not_point;
 
     fn engine() -> WhyNotEngine {
         WhyNotEngine::with_config(
@@ -1245,7 +1342,7 @@ mod tests {
         ];
         let fresh = WhyNotEngine::with_config(pts.clone(), RTreeConfig::with_max_entries(4));
         let tree = wnrs_rtree::bulk::bulk_load(&pts, RTreeConfig::with_max_entries(4));
-        let rebuilt = WhyNotEngine::from_tree(tree);
+        let rebuilt = WhyNotEngine::try_from_tree(tree).expect("dense tree");
         let q = Point::xy(6.0, 50.0);
         let a: Vec<u32> = fresh
             .reverse_skyline(&q)
@@ -1286,7 +1383,7 @@ mod tests {
         let pager = wnrs_storage::MemPager::new(wnrs_storage::PAPER_PAGE_SIZE);
         let meta = wnrs_rtree::persist::save(fresh.tree(), &pager).expect("save");
         let tree = wnrs_rtree::persist::load(&pager, meta).expect("load");
-        let rebuilt = WhyNotEngine::from_tree(tree);
+        let rebuilt = WhyNotEngine::try_from_tree(tree).expect("dense tree");
         for (i, p) in pts.iter().enumerate() {
             assert!(
                 rebuilt.point(ItemId(i as u32)).same_location(p),

@@ -19,15 +19,16 @@
 //!   safe region misses `anti-DDR(c_t)`, additionally repair `c_t` with
 //!   Algorithm 1 against the best safe corner, minimising Eqn (11).
 //!
-//! [`engine::WhyNotEngine`] packages the dataset, index, cost model and
-//! all of the above behind one façade; [`question::Question`] asks any
-//! of them through one front door,
+//! [`engine::WhyNotEngine`] packages the index, cost model and all of
+//! the above behind one façade, over either node source: the in-memory
+//! R\*-tree (the default) or a page file ([`paged::PagedEngine`]).
+//! [`question::Question`] asks any of them through one front door,
 //! [`engine::WhyNotEngine::answer`]. The engine writes each question
-//! once over building blocks (dynamic skylines, anti-DDRs, culprit
-//! windows, reverse skylines, safe regions); under repeated why-not
-//! traffic, [`mod@cache`] memoises those blocks in an optional
-//! versioned cross-query reuse layer, which the batch entry points
-//! ([`engine::WhyNotEngine::explain_batch`] /
+//! once, for any node source, over building blocks (dynamic skylines,
+//! anti-DDRs, culprit windows, reverse skylines, safe regions); under
+//! repeated why-not traffic, [`mod@cache`] memoises those blocks in an
+//! optional versioned cross-query reuse layer, which the batch entry
+//! points ([`engine::WhyNotEngine::explain_batch`] /
 //! [`engine::WhyNotEngine::mwq_batch`]) share across customers; dataset
 //! mutations invalidate it atomically via a generation counter.
 //!
@@ -60,7 +61,7 @@ pub mod sync;
 pub mod verify;
 
 pub use answer::Candidate;
-pub use cache::{CacheConfig, CacheStats, DslSampleEntry, EngineCache};
+pub use cache::{CacheStats, DslSampleEntry, EngineCache};
 pub use engine::WhyNotEngine;
 pub use error::{EngineError, WnrsError};
 pub use eval::score_all_batch;

@@ -77,16 +77,23 @@ pub fn modify_both<S: NodeSource>(
     let ans = modify_both_parts(sr, c_t, q, cost, &addr, eps, |at| {
         failed.run(
             || modify_why_not_point(products, c_t, at, exclude, cost, eps),
-            || MwpAnswer {
-                candidates: vec![Candidate {
-                    point: at.clone(),
-                    cost: f64::INFINITY,
-                    verified: false,
-                }],
-            },
+            || failed_repair(at),
         )
     });
     failed.finish(ans)
+}
+
+/// The stand-in answer for a repair against `at` that could not run
+/// (its page read failed): one unverified candidate of infinite cost,
+/// which keeps the corner search moving and can never win.
+pub(crate) fn failed_repair(at: &Point) -> MwpAnswer {
+    MwpAnswer {
+        candidates: vec![Candidate {
+            point: at.clone(),
+            cost: f64::INFINITY,
+            verified: false,
+        }],
+    }
 }
 
 /// The index-free core of Algorithm 4, parameterised over a

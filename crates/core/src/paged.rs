@@ -1,44 +1,37 @@
-//! The [`PagedEngine`] façade: the full why-not pipeline over a
-//! **page-resident** R\*-tree.
+//! The page-resident engine: the full why-not pipeline over a
+//! [`PagedRTree`], whose nodes live in a bounded
+//! [`wnrs_storage::BufferPool`].
 //!
-//! [`crate::engine::WhyNotEngine`] assumes the dataset fits in memory
-//! twice over (an owned point arena plus the in-memory tree). At
-//! million-point scale that assumption breaks, so this engine runs every
-//! query — reverse skyline, explanation, MWP, MQP, safe region and MWQ —
-//! end-to-end through a [`PagedRTree`] whose nodes live in a bounded
-//! [`wnrs_storage::BufferPool`]. Peak memory is the pool budget plus
-//! per-query scratch, independent of `n`.
+//! The in-memory engine assumes the dataset fits in memory twice over
+//! (an owned point arena plus the in-memory tree). At million-point
+//! scale that assumption breaks, so [`PagedEngine`] is the same
+//! [`WhyNotEngine`] over the page file as its node source: every
+//! question — reverse skyline, explanation, MWP, MQP, exact and
+//! approximate safe region, MWQ — runs the engine's one body per
+//! question, with its cache and parallelism, and a page-read failure
+//! surfaces as the question's error. Peak memory is the pool budget
+//! plus per-query scratch (and the cache, when enabled), independent of
+//! `n`. Answers are **bit-identical** to the in-memory engine over the
+//! same tree structure (which both `wnrs_rtree::persist::save` and the
+//! streaming STR loader [`wnrs_rtree::bulk_load_stream`] produce).
 //!
-//! Each query is one call into the same function the in-memory engine
-//! calls for a customer named by point (the same window, `*_with_lambda`
-//! and anti-DDR steps its building blocks run), with the page-resident
-//! tree as the node source, so answers are **bit-identical** to that
-//! engine over the same tree
-//! structure (which both `wnrs_rtree::persist::save` and the streaming
-//! STR loader [`wnrs_rtree::bulk_load_stream`] produce) and a page-read
-//! failure surfaces as the query's error. The safe region runs under
-//! [`Parallelism::sequential`].
-//!
-//! Unlike the in-memory engine, customers are not held resident: query
-//! methods take the why-not customer's point (plus its item id for the
-//! monochromatic own-tuple exclusion) instead of looking it up in an
-//! owned arena. Logical page traffic is observable through
-//! `tree().pool().stats()` and, with the `obs` feature, the
-//! `pages_read_logical` counter.
+//! What stays source-specific is this module: [`PagedEngine::from_tree`]
+//! recovers the universe from the root page, and, with no point arena
+//! to index, the methods here take the why-not customer's point (plus
+//! its item id for the monochromatic own-tuple exclusion). Logical page
+//! traffic is observable through `tree().pool().stats()` and, with the
+//! `obs` feature, the `pages_read_logical` counter.
 
-use crate::engine::DEFAULT_EPS;
-use crate::explain::{explain, Explanation};
-use crate::mqp::{modify_query_point, MqpAnswer};
-use crate::mwp::{modify_why_not_point, MwpAnswer};
-use crate::mwq::{modify_both, MwqAnswer};
-use crate::question::{Customer, Question, QuestionError, Reply};
-use crate::safe_region::exact_safe_region_with;
-use wnrs_geometry::{CostModel, Parallelism, Point, Rect, Region};
-use wnrs_reverse_skyline::{is_reverse_skyline_member_with, reverse_skyline};
+use crate::engine::{Who, WhyNotEngine};
+use crate::explain::Explanation;
+use crate::mqp::MqpAnswer;
+use crate::mwp::MwpAnswer;
+use crate::mwq::MwqAnswer;
+use std::sync::Arc;
+use wnrs_geometry::{CostModel, Point, Rect, Region};
 use wnrs_rtree::paged::NodeBuf;
 use wnrs_rtree::persist::PersistError;
-use wnrs_rtree::{ItemId, NodeSource, NodeView, PagedRTree, WindowScratch};
-use wnrs_skyline::dynamic_skyline;
+use wnrs_rtree::{ItemId, NodeSource, NodeView, PagedRTree};
 use wnrs_storage::Pager;
 
 /// A why-not reverse-skyline engine over a page-resident tree.
@@ -68,13 +61,9 @@ use wnrs_storage::Pager;
 /// let mwp = engine.mwp(&pts[0], Some(ItemId(0)), &q).unwrap();
 /// assert!(mwp.best_cost() > 0.0);
 /// ```
-pub struct PagedEngine<P: Pager> {
-    tree: PagedRTree<P>,
-    universe: Rect,
-    cost: CostModel,
-}
+pub type PagedEngine<P> = WhyNotEngine<PagedRTree<P>>;
 
-impl<P: Pager> PagedEngine<P> {
+impl<P: Pager> WhyNotEngine<PagedRTree<P>> {
     /// Wraps an open page-resident tree. The universe is recovered from
     /// the root node's entry rectangles (R\*-tree MBRs are tight, so
     /// this equals the bounding box of the indexed points without
@@ -104,42 +93,7 @@ impl<P: Pager> PagedEngine<P> {
                 Rect::new(Point::new(lo), Point::new(hi))
             }
         };
-        Ok(Self {
-            tree,
-            universe,
-            cost,
-        })
-    }
-
-    /// Replaces the cost model (e.g. to attach a normaliser fitted to
-    /// [`PagedEngine::universe`] once the tree is open).
-    #[must_use]
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// The underlying page-resident tree (its buffer pool's
-    /// [`wnrs_storage::IoStats`] report logical page traffic).
-    pub fn tree(&self) -> &PagedRTree<P> {
-        &self.tree
-    }
-
-    /// The data universe: the bounding box of the indexed points,
-    /// recovered from the root node's rectangles.
-    pub fn universe(&self) -> &Rect {
-        &self.universe
-    }
-
-    /// The engine's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
-    /// The data universe (bounding box), expanded to cover `q` when a
-    /// query falls outside it.
-    pub fn universe_for(&self, q: &Point) -> Rect {
-        self.universe.union_mbr(&Rect::degenerate(q.clone()))
+        Ok(Self::over(tree, Vec::new(), universe, cost))
     }
 
     /// The reverse skyline of `q` (BBRS), sorted by item id.
@@ -148,7 +102,7 @@ impl<P: Pager> PagedEngine<P> {
     ///
     /// Returns an error when a page read or decode fails.
     pub fn reverse_skyline(&self, q: &Point) -> Result<Vec<(ItemId, Point)>, PersistError> {
-        reverse_skyline(&self.tree, q)
+        self.rsl(q)
     }
 
     /// Whether customer `c` (own tuple `exclude`) is in `RSL(q)`.
@@ -162,7 +116,7 @@ impl<P: Pager> PagedEngine<P> {
         exclude: Option<ItemId>,
         q: &Point,
     ) -> Result<bool, PersistError> {
-        is_reverse_skyline_member_with(&self.tree, c, q, exclude, &mut WindowScratch::new())
+        self.is_member_of(&Who::point(c, exclude), q)
     }
 
     /// Aspect 1: why is customer `c` missing from `RSL(q)`?
@@ -176,7 +130,7 @@ impl<P: Pager> PagedEngine<P> {
         exclude: Option<ItemId>,
         q: &Point,
     ) -> Result<Explanation, PersistError> {
-        explain(&self.tree, c, q, exclude)
+        self.explain_of(&Who::point(c, exclude), q)
     }
 
     /// Algorithm 1 (MWP) for customer `c_t`.
@@ -190,7 +144,7 @@ impl<P: Pager> PagedEngine<P> {
         exclude: Option<ItemId>,
         q: &Point,
     ) -> Result<MwpAnswer, PersistError> {
-        modify_why_not_point(&self.tree, c_t, q, exclude, &self.cost, DEFAULT_EPS)
+        self.mwp_of(&Who::point(c_t, exclude), q)
     }
 
     /// Algorithm 2 (MQP) for customer `c_t`.
@@ -204,7 +158,7 @@ impl<P: Pager> PagedEngine<P> {
         exclude: Option<ItemId>,
         q: &Point,
     ) -> Result<MqpAnswer, PersistError> {
-        modify_query_point(&self.tree, c_t, q, exclude, &self.cost, DEFAULT_EPS)
+        self.mqp_of(&Who::point(c_t, exclude), q)
     }
 
     /// The dynamic skyline of customer `c` (own tuple `exclude`), in BBS
@@ -220,13 +174,14 @@ impl<P: Pager> PagedEngine<P> {
         c: &Point,
         exclude: Option<ItemId>,
     ) -> Result<Vec<(ItemId, Point)>, PersistError> {
-        dynamic_skyline(&self.tree, c, exclude)
+        let dsl = self.dsl(&Who::point(c, exclude))?;
+        Ok(Arc::try_unwrap(dsl).unwrap_or_else(|shared| (*shared).clone()))
     }
 
     /// Algorithm 3: the exact safe region of `q` against a precomputed
     /// reverse skyline, each member's own tuple excluded (the
-    /// monochromatic convention). Bit-identical to
-    /// [`crate::safe_region::exact_safe_region`] over the same tree.
+    /// monochromatic convention). Bit-identical to the in-memory
+    /// engine's over the same tree.
     ///
     /// # Errors
     ///
@@ -236,8 +191,7 @@ impl<P: Pager> PagedEngine<P> {
         q: &Point,
         rsl: &[(ItemId, Point)],
     ) -> Result<Region, PersistError> {
-        let universe = self.universe_for(q);
-        exact_safe_region_with(&self.tree, rsl, &universe, true, &Parallelism::sequential())
+        self.exact_region(q, rsl)
     }
 
     /// Algorithm 4 (MWQ) for customer `c_t` against a precomputed safe
@@ -253,79 +207,14 @@ impl<P: Pager> PagedEngine<P> {
         q: &Point,
         sr: &Region,
     ) -> Result<MwqAnswer, PersistError> {
-        let universe = self.universe_for(q);
-        modify_both(
-            &self.tree,
-            sr,
-            c_t,
-            q,
-            exclude,
-            &self.cost,
-            &universe,
-            DEFAULT_EPS,
-        )
-    }
-
-    /// Answers `question`: the one table mapping a question to this
-    /// engine's techniques, in the same order as
-    /// [`crate::WhyNotEngine::answer`]. [`Question::check`] runs first.
-    /// The customer must be named by point (no arena resolves ids) and
-    /// the safe region is the exact one.
-    ///
-    /// # Errors
-    ///
-    /// [`QuestionError`] for a false premise, a customer named by id,
-    /// an approximate region, or a failed page read.
-    pub fn answer(&self, question: &Question) -> Result<Reply, QuestionError> {
-        question.check(self.tree.dim())?;
-        if question.approx_k().is_some() {
-            return Err(QuestionError::Unsupported(
-                "the paged engine answers with the exact safe region only",
-            ));
-        }
-        let at = || match question.customer() {
-            Some(c @ (Customer::External(p) | Customer::PointExcluding(p, _))) => {
-                Ok((p, c.exclusion()))
-            }
-            _ => Err(QuestionError::Unsupported(
-                "the paged engine names customers by point (external or point-excluding)",
-            )),
-        };
-        Ok(match question {
-            Question::Rsl { q } => Reply::Rsl(self.reverse_skyline(q)?),
-            Question::Explain { q, .. } => {
-                let (c, exclude) = at()?;
-                Reply::Explain(self.explain(c, exclude, q)?)
-            }
-            Question::Mwp { q, .. } => {
-                let (c, exclude) = at()?;
-                Reply::Mwp(self.mwp(c, exclude, q)?)
-            }
-            Question::Mqp { q, .. } => {
-                let (c, exclude) = at()?;
-                Reply::Mqp(self.mqp(c, exclude, q)?)
-            }
-            Question::SafeRegion { q, .. } => {
-                let rsl = self.reverse_skyline(q)?;
-                let (members, region) = (rsl.len(), self.safe_region_for(q, &rsl)?);
-                Reply::SafeRegion { members, region }
-            }
-            Question::Mwq { q, .. } => {
-                let (c, exclude) = at()?;
-                let rsl = self.reverse_skyline(q)?;
-                let sr = self.safe_region_for(q, &rsl)?;
-                let (members, answer) = (rsl.len(), self.mwq(c, exclude, q, &sr)?);
-                Reply::Mwq { members, answer }
-            }
-        })
+        self.mwq_of(&Who::point(c_t, exclude), q, sr)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::WhyNotEngine;
-    use std::sync::Arc;
+    use crate::question::{Customer, Question, Reply};
     use wnrs_rtree::bulk::bulk_load;
     use wnrs_rtree::RTreeConfig;
     use wnrs_storage::{BufferPool, MemPager};

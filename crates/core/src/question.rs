@@ -4,13 +4,14 @@
 //! the cheapest fix is, answered by explanation, MWP, MQP, the safe
 //! region and MWQ. A [`Question`] names the answer wanted;
 //! [`Question::check`] tests the premises every engine shares;
-//! [`crate::WhyNotEngine::answer`] and [`crate::PagedEngine::answer`]
-//! are the only tables mapping a question to a technique.
+//! [`crate::WhyNotEngine::answer`], over either node source, is the one
+//! table mapping a question to a technique.
 
 use crate::explain::Explanation;
 use crate::mqp::MqpAnswer;
 use crate::mwp::MwpAnswer;
 use crate::mwq::MwqAnswer;
+use std::convert::Infallible;
 use std::fmt;
 use wnrs_geometry::{Point, Region};
 use wnrs_rtree::persist::PersistError;
@@ -19,13 +20,14 @@ use wnrs_rtree::ItemId;
 /// How a question names the why-not customer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Customer {
-    /// A dataset tuple by id (in-memory engines resolve the point and
-    /// apply the own-tuple exclusion automatically).
+    /// A dataset tuple by id (the in-memory engine resolves the point
+    /// from its arena and applies the own-tuple exclusion).
     Id(ItemId),
     /// An external (hypothetical) customer location; no exclusion.
     External(Point),
-    /// Explicit coordinates plus an own-tuple exclusion id — the paged
-    /// engine's convention, where no in-memory arena exists to index.
+    /// Explicit coordinates plus an own-tuple exclusion id — how a
+    /// dataset tuple is named to an engine without a point arena (over
+    /// a page file).
     PointExcluding(Point, ItemId),
 }
 
@@ -201,8 +203,8 @@ pub enum QuestionError {
     },
     /// An approximate safe region was asked with sample size `k = 0`.
     ZeroSampleSize,
-    /// The engine cannot serve this customer form or this approximate
-    /// region.
+    /// The customer is named by id, and the engine has no point arena
+    /// to resolve it (over a page file).
     Unsupported(&'static str),
     /// A page read failed while answering.
     PageRead(PersistError),
@@ -243,5 +245,11 @@ impl std::error::Error for QuestionError {
 impl From<PersistError> for QuestionError {
     fn from(e: PersistError) -> Self {
         QuestionError::PageRead(e)
+    }
+}
+
+impl From<Infallible> for QuestionError {
+    fn from(never: Infallible) -> Self {
+        match never {}
     }
 }

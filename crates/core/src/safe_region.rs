@@ -340,8 +340,8 @@ impl ApproxDslStore {
             let mut counts: Vec<u32> = Vec::with_capacity(range.len());
             for i in range {
                 let c = &pts[i * dim..(i + 1) * dim];
-                let sample =
-                    approx_dsl_sample_into(products, c, Some(ItemId(i as u32)), k, &mut scratch);
+                let id = Some(ItemId(i as u32));
+                let sample = into_ok(approx_dsl_sample_into(products, c, id, k, &mut scratch));
                 counts.push(sample.len() as u32);
                 coords.extend_from_slice(sample.coords());
             }

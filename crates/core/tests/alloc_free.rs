@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use wnrs_geometry::Point;
 use wnrs_rtree::bulk::bulk_load;
-use wnrs_rtree::{ItemId, RTreeConfig};
+use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
 use wnrs_skyline::approx::{approx_dsl_sample_into, ApproxDslScratch};
 
 /// System allocator wrapper counting every allocation and reallocation.
@@ -65,8 +65,14 @@ fn store_build_inner_loop_is_allocation_free_after_warmup() {
     // skyline arena, permutation, sample output) to its peak size.
     let mut warm_checksum = 0.0f64;
     for (i, p) in pts.iter().enumerate() {
-        let sample =
-            approx_dsl_sample_into(&tree, p.coords(), Some(ItemId(i as u32)), k, &mut scratch);
+        let id = Some(ItemId(i as u32));
+        let sample = into_ok(approx_dsl_sample_into(
+            &tree,
+            p.coords(),
+            id,
+            k,
+            &mut scratch,
+        ));
         warm_checksum += sample.coords().iter().sum::<f64>();
     }
 
@@ -75,8 +81,14 @@ fn store_build_inner_loop_is_allocation_free_after_warmup() {
     let before = ALLOC_CALLS.load(Ordering::SeqCst);
     let mut checksum = 0.0f64;
     for (i, p) in pts.iter().enumerate() {
-        let sample =
-            approx_dsl_sample_into(&tree, p.coords(), Some(ItemId(i as u32)), k, &mut scratch);
+        let id = Some(ItemId(i as u32));
+        let sample = into_ok(approx_dsl_sample_into(
+            &tree,
+            p.coords(),
+            id,
+            k,
+            &mut scratch,
+        ));
         checksum += sample.coords().iter().sum::<f64>();
     }
     let delta = ALLOC_CALLS.load(Ordering::SeqCst) - before;

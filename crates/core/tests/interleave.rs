@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex, PoisonError};
 use wnrs_core::sync::sched::{self, Scheduler};
 use wnrs_core::sync::RwLock;
-use wnrs_core::{CacheConfig, EngineCache, WhyNotEngine};
+use wnrs_core::{EngineCache, WhyNotEngine};
 use wnrs_geometry::{CoordKey, Point};
 use wnrs_rtree::{ItemId, RTreeConfig};
 
@@ -216,7 +216,7 @@ fn stale_fill_race_never_serves_stale_entries() {
 
     let mut outcomes = [0usize; 3];
     for seed in 0..64u64 {
-        let cache = Arc::new(EngineCache::new(CacheConfig::default()));
+        let cache = Arc::new(EngineCache::new());
         let events: Arc<Mutex<Vec<Ev>>> = Arc::new(Mutex::new(Vec::new()));
         let q = Point::xy(1.0, 1.0);
         let k = CoordKey::of_point(&q);

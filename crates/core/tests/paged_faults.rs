@@ -4,8 +4,9 @@
 //! an answer built around the missing data.
 //!
 //! Read faults come from a pager wrapper that fails the k-th physical
-//! read; every query is swept over every physical read it makes, under a
-//! 4-page buffer pool so that reads repeat. Corrupt pages are single
+//! read; every query — the approximate safe region too — is swept over
+//! every physical read it makes, under a 4-page buffer pool so that
+//! reads repeat, on an uncached and on a cached engine. Corrupt pages are single
 //! overwritten fields of a saved 200-point CarDB tree; calls that could
 //! loop on them run on a worker thread with a bounded wait.
 
@@ -17,7 +18,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use wnrs_core::PagedEngine;
+use wnrs_core::{PagedEngine, Question as Asked, QuestionError};
 use wnrs_geometry::{CostModel, Point, Region};
 use wnrs_reverse_skyline::paged_window_query;
 use wnrs_rtree::bulk::bulk_load;
@@ -100,7 +101,15 @@ fn queries<P: Pager + 'static>(qu: &Arc<Question>) -> Vec<(&'static str, Query<P
     fn fmt<T: Debug>(r: Result<T, PersistError>) -> Result<String, PersistError> {
         r.map(|a| format!("{a:?}"))
     }
-    let [a, b, c, d, e, f, g, h]: [Arc<Question>; 8] = std::array::from_fn(|_| Arc::clone(qu));
+    /// The reply to `question`, a failed page read as its error.
+    fn answer<P: Pager>(en: &PagedEngine<P>, question: &Asked) -> Result<String, PersistError> {
+        match en.answer(question) {
+            Ok(reply) => Ok(format!("{reply:?}")),
+            Err(QuestionError::PageRead(e)) => Err(e),
+            Err(other) => panic!("{question:?}: {other}"),
+        }
+    }
+    let [a, b, c, d, e, f, g, h, i]: [Arc<Question>; 9] = std::array::from_fn(|_| Arc::clone(qu));
     vec![
         (
             "reverse_skyline",
@@ -133,6 +142,13 @@ fn queries<P: Pager + 'static>(qu: &Arc<Question>) -> Vec<(&'static str, Query<P
         (
             "is_member",
             Box::new(move |en| fmt(en.is_member(&h.c, Some(h.id), &h.q))),
+        ),
+        (
+            "approximate safe region",
+            Box::new(move |en| {
+                let (q, approx_k) = (i.q.clone(), Some(4));
+                answer(en, &Asked::SafeRegion { q, approx_k })
+            }),
         ),
     ]
 }
@@ -176,30 +192,43 @@ fn every_failed_page_read_is_an_error_and_leaves_the_engine_exact() {
     // Each question's MWQ repairs the customer (case C2), so the repair
     // oracle's page reads are swept as well.
     let asked = questions(&points, &[(1, 100), (4, 0), (5, 100)], &reference);
+    // A cached engine fills no memo from a failed computation, so once
+    // the fault clears it answers like a fault-free engine.
+    let engine = |cached: bool| {
+        let engine = engine_over(&pager, meta, &points);
+        if cached {
+            engine.with_cache()
+        } else {
+            engine
+        }
+    };
     for (qi, qu) in asked.iter().enumerate() {
         for (name, query) in queries::<FaultyPager>(qu) {
             let want = query(&reference).expect("fault-free answer");
-            let fresh = engine_over(&pager, meta, &points);
-            pager.arm(0);
-            query(&fresh).expect("fault-free answer");
-            let total = pager.reads();
-            assert!(total > 0, "question {qi} {name}: no physical read to fail");
-            for k in 1..=total {
-                let engine = engine_over(&pager, meta, &points);
-                pager.arm(k);
-                match query(&engine) {
-                    Err(PersistError::Pager(_)) => {}
-                    other => panic!(
-                        "question {qi} {name}: physical read {k} of {total} failed, \
-                         but the query returned {other:?}"
-                    ),
-                }
+            for cached in [false, true] {
+                let fresh = engine(cached);
                 pager.arm(0);
-                assert_eq!(
-                    query(&engine).expect("answer after the fault"),
-                    want,
-                    "question {qi} {name}: answer after failing read {k} differs"
-                );
+                query(&fresh).expect("fault-free answer");
+                let total = pager.reads();
+                assert!(total > 0, "question {qi} {name}: no physical read to fail");
+                for k in 1..=total {
+                    let engine = engine(cached);
+                    pager.arm(k);
+                    match query(&engine) {
+                        Err(PersistError::Pager(_)) => {}
+                        other => panic!(
+                            "question {qi} {name} (cached {cached}): physical read {k} of \
+                             {total} failed, but the query returned {other:?}"
+                        ),
+                    }
+                    pager.arm(0);
+                    assert_eq!(
+                        query(&engine).expect("answer after the fault"),
+                        want,
+                        "question {qi} {name} (cached {cached}): answer after failing read \
+                         {k} differs"
+                    );
+                }
             }
         }
     }

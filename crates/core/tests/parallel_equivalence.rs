@@ -12,6 +12,8 @@
 //!   build (per-item work is independent);
 //! * `WhyNotEngine::mwq_batch` answers are identical whatever the
 //!   engine's policy;
+//! * the engine over a page file answers the exact and approximate
+//!   safe regions under a two-worker policy as the references do;
 //! * the tree reduction is invariant under shuffling of the member
 //!   regions (same area, same membership).
 //!
@@ -21,14 +23,16 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use wnrs_core::safe_region::{
     approx_safe_region, approx_safe_region_with, exact_safe_region, exact_safe_region_with,
     ApproxDslStore,
 };
-use wnrs_core::{Parallelism, WhyNotEngine};
+use wnrs_core::{PagedEngine, Parallelism, Question, Reply, WhyNotEngine};
 use wnrs_geometry::parallel::intersect_all;
-use wnrs_geometry::{Point, Rect, Region};
-use wnrs_rtree::{into_ok, ItemId, RTreeConfig};
+use wnrs_geometry::{CostModel, Point, Rect, Region};
+use wnrs_rtree::{into_ok, ItemId, PagedRTree, RTree, RTreeConfig};
+use wnrs_storage::{BufferPool, MemPager};
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -49,6 +53,17 @@ fn engine_of(points: Vec<Point>) -> WhyNotEngine {
 /// small inputs property testing affords.
 fn eager(threads: usize) -> Parallelism {
     Parallelism::new(threads).with_sequential_cutoff(1)
+}
+
+/// The engine over `tree` saved to pages behind an 8-page pool, under
+/// a two-worker policy.
+fn paged_engine(tree: &RTree, points: &[Point]) -> PagedEngine<MemPager> {
+    let pager = Arc::new(MemPager::paper_default());
+    let meta = wnrs_rtree::persist::save(tree, pager.as_ref()).expect("save");
+    let paged = PagedRTree::open(BufferPool::new(pager, 8), meta).expect("open");
+    let cost = CostModel::paper_default(points);
+    let engine = PagedEngine::from_tree(paged, cost).expect("engine");
+    engine.with_parallelism(eager(2))
 }
 
 /// Canonical order-insensitive fingerprint of a region's box set.
@@ -90,6 +105,8 @@ proptest! {
                 "threads {}", threads
             );
         }
+        let paged = paged_engine(&tree, &points).safe_region_for(&q, &rsl).expect("paged");
+        prop_assert_eq!(sorted_boxes(&paged), sorted_boxes(&reference), "paged source");
     }
 
     #[test]
@@ -115,6 +132,12 @@ proptest! {
                 "threads {}", threads
             );
         }
+        let question = Question::SafeRegion { q, approx_k: Some(k) };
+        let reply = paged_engine(&tree, &points).answer(&question).expect("paged");
+        let Reply::SafeRegion { region, .. } = reply else {
+            panic!("{question:?} got {reply:?}");
+        };
+        prop_assert_eq!(sorted_boxes(&region), sorted_boxes(&reference), "paged source");
     }
 
     #[test]

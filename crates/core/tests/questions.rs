@@ -367,7 +367,8 @@ fn customers_named_by_point_get_one_answer_from_both_engines() {
         .expect("engine")
         .with_cache();
     let (paged, _) = paged_over(&plain);
-    let techniques: [fn(Customer, Point) -> Question; 4] = [
+    let paged_cached = paged_over(&plain).0.with_cache();
+    let techniques: [fn(Customer, Point) -> Question; 6] = [
         |customer, q| Question::Explain { customer, q },
         |customer, q| Question::Mwp { customer, q },
         |customer, q| Question::Mqp { customer, q },
@@ -375,6 +376,15 @@ fn customers_named_by_point_get_one_answer_from_both_engines() {
             customer,
             q,
             approx_k: None,
+        },
+        |_, q| Question::SafeRegion {
+            q,
+            approx_k: Some(4),
+        },
+        |customer, q| Question::Mwq {
+            customer,
+            q,
+            approx_k: Some(4),
         },
     ];
     for q in queries(&pts) {
@@ -388,6 +398,24 @@ fn customers_named_by_point_get_one_answer_from_both_engines() {
                 for ask in techniques {
                     let question = ask(customer.clone(), q.clone());
                     let want = paged.answer(&question).expect("paged");
+                    // The cached paged engine answers the same twice; a
+                    // question over the reverse skyline hits the second
+                    // time.
+                    let hits = || paged_cached.cache_stats().map_or(0, |s| s.hits);
+                    same(
+                        paged_cached.answer(&question).expect("cached"),
+                        &want,
+                        "cached",
+                    );
+                    let before = hits();
+                    same(
+                        paged_cached.answer(&question).expect("cached"),
+                        &want,
+                        "repeat",
+                    );
+                    if question.approx_k().is_some() || matches!(question, Question::Mwq { .. }) {
+                        assert!(hits() > before, "{question:?}: no cache hit when repeated");
+                    }
                     for e in [&plain, &cached] {
                         same(
                             e.answer(&question).expect("memory"),
@@ -466,30 +494,17 @@ fn every_false_premise_is_a_typed_error() {
             len: 300
         })
     ));
-    // The paged engine holds no arena to resolve ids against, and
-    // answers with the exact safe region only.
-    for question in [
-        Question::Mwq {
-            customer: Customer::Id(ItemId(57)),
-            q: q.clone(),
-            approx_k: None,
-        },
-        Question::SafeRegion {
-            q: q.clone(),
-            approx_k: Some(4),
-        },
-        Question::Mwq {
-            customer: Customer::PointExcluding(c.clone(), ItemId(57)),
-            q: q.clone(),
-            approx_k: Some(4),
-        },
-    ] {
-        let answer = paged.answer(&question);
-        assert!(
-            matches!(answer, Err(QuestionError::Unsupported(_))),
-            "{answer:?}"
-        );
-    }
+    // The paged engine holds no arena to resolve ids against.
+    let by_id = Question::Mwq {
+        customer: Customer::Id(ItemId(57)),
+        q: q.clone(),
+        approx_k: None,
+    };
+    let answer = paged.answer(&by_id);
+    assert!(
+        matches!(answer, Err(QuestionError::Unsupported(_))),
+        "{answer:?}"
+    );
     pager.broken.store(true, Ordering::SeqCst);
     let answer = paged.answer(&Question::Mwp {
         customer: Customer::PointExcluding(c, ItemId(57)),

@@ -19,9 +19,9 @@ pub enum EngineHost {
     /// take the write side and flow through surgical cache
     /// invalidation.
     Memory(Box<MemoryHost>),
-    /// A read-only page-resident engine over a bounded buffer pool;
-    /// queries need no outer lock (the pool synchronises internally)
-    /// and writes are answered `Unsupported`.
+    /// A read-only page-resident engine (optionally cached) over a
+    /// bounded buffer pool; queries need no outer lock (pool and cache
+    /// synchronise internally) and writes are answered `Unsupported`.
     Paged(Box<PagedEngine<FilePager>>),
 }
 

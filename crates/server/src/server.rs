@@ -110,8 +110,8 @@ impl ServerConfig {
     }
 
     /// Answer safe-region/MWQ requests from the `k`-sample approximate
-    /// region, built from lazily materialised samples (in-memory
-    /// engines only; the paged engine refuses such questions).
+    /// region, built from lazily materialised samples (in either
+    /// engine mode; cached when the hosted engine's cache is on).
     #[must_use]
     pub fn with_approx_k(mut self, k: Option<usize>) -> Self {
         self.approx_k = k;

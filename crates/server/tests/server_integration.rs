@@ -315,7 +315,51 @@ fn paged_mode_serves_queries_and_rejects_writes() {
         })
         .expect("id customer answered");
     expect_error(&resp, ErrorKind::Unsupported);
+    server.shutdown().expect("shutdown");
 
+    // A cached paged server answers approximate safe regions and MWQ
+    // against them like the in-memory oracle.
+    let pager = Arc::new(FilePager::open(&idx).expect("reopen index"));
+    let paged = PagedRTree::open(BufferPool::new(pager, 16), meta).expect("open");
+    let engine = wnrs_core::PagedEngine::from_tree(paged, CostModel::paper_default(&pts))
+        .expect("engine")
+        .with_cache();
+    let config = ServerConfig::default().with_approx_k(Some(4));
+    let server = Server::start(config, EngineHost::paged(engine)).expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let approx = oracle.approx_safe_region_lazy(&q, &rsl, 4);
+    let resp = client
+        .call(&Request::SafeRegion { q: q.clone() })
+        .expect("approximate safe region");
+    assert_eq!(
+        received_frame(&resp),
+        oracle_frame(
+            1,
+            Opcode::SafeRegion,
+            Answer::Region(proto::region_to_wire(&approx))
+        )
+    );
+    let resp = client
+        .call(&Request::Mwq {
+            customer: Customer::PointExcluding(pts[0].clone(), ItemId(0)),
+            q: q.clone(),
+        })
+        .expect("mwq");
+    let want = oracle.mwq(ItemId(0), &q, &approx);
+    assert_eq!(
+        received_frame(&resp),
+        oracle_frame(
+            2,
+            Opcode::Mwq,
+            Answer::Mwq {
+                case: want.case,
+                q_star: want.q_star,
+                c_star: want.c_star,
+                cost: want.cost,
+            }
+        ),
+        "paged approximate MWQ diverges from the in-memory oracle"
+    );
     server.shutdown().expect("shutdown");
     let _ = std::fs::remove_file(&idx);
 }

@@ -25,7 +25,7 @@ use wnrs_geometry::{
     cmp_f64, dominance::prune_dominated, dominates, dominates_components, Point, PointsView, Rect,
     Region,
 };
-use wnrs_rtree::{into_ok, ItemId, RTree};
+use wnrs_rtree::{ItemId, NodeId, NodeSource};
 
 /// Samples a transformed-space DSL down to roughly `k` points: the first
 /// and last point of the sequence sorted by dimension 0 are always kept,
@@ -125,17 +125,18 @@ pub fn approx_anti_ddr_flat(sample_t: &[f64], maxd: &Point) -> Region {
 }
 
 /// Reusable state for [`approx_dsl_sample_into`]: a [`BbsScratch`] for
-/// the per-customer BBS pass plus permutation and output buffers for the
-/// sampling step. One scratch per worker; zero allocations at steady
-/// state.
+/// the per-customer BBS pass over a node source with node address `R`
+/// and decode buffer `B` (the arena's by default), plus permutation and
+/// output buffers for the sampling step. One scratch per worker; zero
+/// allocations at steady state.
 #[derive(Debug, Default)]
-pub struct ApproxDslScratch {
-    bbs: BbsScratch,
+pub struct ApproxDslScratch<R = NodeId, B = ()> {
+    bbs: BbsScratch<R, B>,
     perm: Vec<u64>,
     out: Vec<f64>,
 }
 
-impl ApproxDslScratch {
+impl<R: Default, B: Default> ApproxDslScratch<R, B> {
     /// An empty scratch; buffers grow on first use and are then reused.
     #[must_use]
     pub fn new() -> Self {
@@ -145,29 +146,28 @@ impl ApproxDslScratch {
 
 /// Computes the sampled approximate DSL of the customer at `c` straight
 /// into the scratch's flat output buffer and returns a borrowed view of
-/// it: a scratch-based BBS pass followed by the flat equivalent of
-/// [`sample_dsl`].
+/// it: a scratch-based BBS pass over either node source followed by the
+/// flat equivalent of [`sample_dsl`].
 ///
 /// The returned sample is coordinate-for-coordinate identical to
 /// `sample_dsl(dsl_t, k)` on the transformed DSL of `c`.
 ///
+/// # Errors
+///
+/// Returns the source's error when a node read fails.
+///
 /// # Panics
 ///
 /// Panics if `k == 0` or `c`'s dimensionality differs from the tree's.
-pub fn approx_dsl_sample_into<'s>(
-    tree: &RTree,
+pub fn approx_dsl_sample_into<'s, S: NodeSource>(
+    tree: &S,
     c: &[f64],
     exclude: Option<ItemId>,
     k: usize,
-    scratch: &'s mut ApproxDslScratch,
-) -> PointsView<'s> {
+    scratch: &'s mut ApproxDslScratch<S::NodeRef, S::Buf>,
+) -> Result<PointsView<'s>, S::Error> {
     assert!(k > 0, "sample size k must be positive");
-    into_ok(bbs_dynamic_skyline_scratch(
-        tree,
-        c,
-        exclude,
-        &mut scratch.bbs,
-    ));
+    bbs_dynamic_skyline_scratch(tree, c, exclude, &mut scratch.bbs)?;
     let dim = tree.dim();
     flat_sample(
         scratch.bbs.dsl_t().coords(),
@@ -176,7 +176,7 @@ pub fn approx_dsl_sample_into<'s>(
         &mut scratch.perm,
         &mut scratch.out,
     );
-    PointsView::new(dim, &scratch.out)
+    Ok(PointsView::new(dim, &scratch.out))
 }
 
 /// Flat equivalent of [`sample_dsl`] over a `len · dim` coordinate

@@ -22,11 +22,9 @@
 pub mod approx;
 pub mod bbs;
 pub mod bnl;
-pub mod dc;
 pub mod ddr;
 pub mod dynamic;
 pub mod sfs;
-pub mod skyband;
 
 pub use approx::{
     approx_anti_ddr, approx_anti_ddr_flat, approx_dsl_sample_into, sample_dsl, ApproxDslScratch,
@@ -36,8 +34,6 @@ pub use bbs::{
     dynamic_skyline, BbsScratch,
 };
 pub use bnl::bnl_skyline;
-pub use dc::dc_skyline;
 pub use ddr::{anti_ddr, anti_ddr_general, anti_ddr_original_space};
 pub use dynamic::{dynamic_skyline_scan, is_in_dynamic_skyline};
 pub use sfs::sfs_skyline;
-pub use skyband::{dominance_count, dynamic_k_skyband, k_skyband};

@@ -6,7 +6,7 @@ use wnrs_rtree::bulk::bulk_load;
 use wnrs_rtree::RTreeConfig;
 use wnrs_skyline::{
     anti_ddr, anti_ddr_general, approx_anti_ddr, bbs_dynamic_skyline, bbs_skyline, bnl_skyline,
-    dc_skyline, ddr::max_dist, dynamic_skyline_scan, k_skyband, sample_dsl, sfs_skyline,
+    ddr::max_dist, dynamic_skyline_scan, sample_dsl, sfs_skyline,
 };
 
 fn arb_points(max_n: usize, dim: usize) -> impl Strategy<Value = Vec<Point>> {
@@ -43,7 +43,6 @@ proptest! {
     fn all_four_static_algorithms_agree(pts in arb_points(120, 2)) {
         let bnl = bnl_skyline(&pts);
         prop_assert_eq!(&bnl, &sfs_skyline(&pts));
-        prop_assert_eq!(&bnl, &dc_skyline(&pts));
         let tree = bulk_load(&pts, RTreeConfig::with_max_entries(5));
         let mut bbs: Vec<usize> =
             bbs_skyline(&tree).iter().map(|(id, _)| id.0 as usize).collect();
@@ -53,19 +52,7 @@ proptest! {
 
     #[test]
     fn static_algorithms_agree_in_3d(pts in arb_points(100, 3)) {
-        let bnl = bnl_skyline(&pts);
-        prop_assert_eq!(&bnl, &sfs_skyline(&pts));
-        prop_assert_eq!(&bnl, &dc_skyline(&pts));
-    }
-
-    #[test]
-    fn skyband_nests_and_band1_is_skyline(pts in arb_points(80, 2), k in 1usize..5) {
-        let band_k = k_skyband(&pts, k);
-        let band_k1 = k_skyband(&pts, k + 1);
-        for i in &band_k {
-            prop_assert!(band_k1.contains(i), "band {k} ⊄ band {}", k + 1);
-        }
-        prop_assert_eq!(k_skyband(&pts, 1), bnl_skyline(&pts));
+        prop_assert_eq!(bnl_skyline(&pts), sfs_skyline(&pts));
     }
 
     #[test]

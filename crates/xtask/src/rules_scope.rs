@@ -33,17 +33,24 @@ const ACQUIRE: [&str; 4] = ["read", "write", "read_state", "write_state"];
 /// serving layer would hit. Deliberately restricted to unambiguous
 /// names — generic container methods (`insert`, `get`, …) are exactly
 /// what a fill *should* do under the guard.
-const ENGINE_CALLS: [&str; 21] = [
+const ENGINE_CALLS: [&str; 28] = [
     "answer",
     "explain",
+    "explain_of",
     "explain_batch",
     "mwp",
+    "mwp_of",
     "mqp",
+    "mqp_of",
     "mwq",
+    "mwq_of",
     "mwq_full",
     "mwq_batch",
     "reverse_skyline",
+    "rsl",
     "safe_region_for",
+    "exact_region",
+    "lazy_region",
     "approx_safe_region_for",
     "approx_safe_region_lazy",
     "lazy_dsl_sample",

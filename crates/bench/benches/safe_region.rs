@@ -6,9 +6,9 @@
 //! of `|RSL(q)| ≥ 8` (the regime the parallel tree reduction targets).
 //! The store build is benchmarked over a 2K-point subsample by default
 //! because a full build takes seconds per iteration; set
-//! `WNRS_BENCH_FULL=1` to run it at the full dataset sizes. The
-//! `speedup` binary performs single timed runs at the full sizes and
-//! writes the `BENCH_safe_region.json` summary.
+//! `WNRS_BENCH_FULL=1` to run it at the full dataset sizes. End-to-end
+//! safe-region timings come from `whynotbench`'s `anticorr_3d`
+//! workload.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

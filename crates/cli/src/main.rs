@@ -31,6 +31,7 @@ use wnrs_core::{Customer, PagedEngine, Question, Reply, WhyNotEngine, WnrsError}
 use wnrs_geometry::{Parallelism, Point};
 use wnrs_rtree::{ItemId, NodeSource};
 use wnrs_server::server::EngineHost;
+use wnrs_storage::file::FilePagerError;
 use wnrs_storage::{FilePager, Pager as _};
 
 fn main() -> ExitCode {
@@ -39,8 +40,12 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!();
-            eprintln!("{USAGE}");
+            // The usage text helps only when the command line was wrong,
+            // not when a file, a page read or the question failed.
+            if matches!(e, WnrsError::Usage(_)) {
+                eprintln!();
+                eprintln!("{USAGE}");
+            }
             ExitCode::FAILURE
         }
     }
@@ -265,8 +270,13 @@ fn load_engine(opts: &HashMap<String, String>) -> Result<WhyNotEngine, WnrsError
         WhyNotEngine::try_from_tree(tree)?
     } else {
         let path = require(opts, "data")?;
-        let points =
-            wnrs_data::csv::load(Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
+        let points = wnrs_data::csv::load(Path::new(path)).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::InvalidData {
+                WnrsError::usage(format!("loading {path}: {e}"))
+            } else {
+                file_error("loading", path, e)
+            }
+        })?;
         if points.is_empty() {
             return Err(WnrsError::usage(format!("{path} holds no points")));
         }
@@ -303,10 +313,26 @@ fn parallelism_opt(opts: &HashMap<String, String>) -> Result<Parallelism, WnrsEr
 }
 
 fn load_index(path: &str) -> Result<wnrs_rtree::RTree, WnrsError> {
-    let pager = wnrs_storage::FilePager::open(Path::new(path))
-        .map_err(|e| format!("opening {path}: {e}"))?;
+    let pager = open_page_file(path)?;
     Ok(wnrs_rtree::persist::load(&pager, wnrs_storage::PageId(0))
         .map_err(|e| format!("loading index {path}: {e}"))?)
+}
+
+/// Opens the page file at `path`: a file that cannot be read is an i/o
+/// error, one that is not a page file a usage error.
+fn open_page_file(path: &str) -> Result<FilePager, WnrsError> {
+    FilePager::open(Path::new(path)).map_err(|e| match e {
+        FilePagerError::Io(e) => file_error("opening", path, e),
+        FilePagerError::Format(_) => WnrsError::usage(format!("opening {path}: {e}")),
+    })
+}
+
+/// An i/o error on `path`, with what was being done to it.
+fn file_error(doing: &str, path: &str, e: std::io::Error) -> WnrsError {
+    WnrsError::Io(std::io::Error::new(
+        e.kind(),
+        format!("{doing} {path}: {e}"),
+    ))
 }
 
 fn paged_mode(opts: &HashMap<String, String>) -> Result<bool, WnrsError> {
@@ -336,10 +362,7 @@ fn load_paged_engine(opts: &HashMap<String, String>) -> Result<PagedEngine<FileP
     if pool_pages == 0 {
         return Err(WnrsError::usage("--pool-pages must be at least 1"));
     }
-    let pager = std::sync::Arc::new(
-        wnrs_storage::FilePager::open(Path::new(path))
-            .map_err(|e| format!("opening {path}: {e}"))?,
-    );
+    let pager = std::sync::Arc::new(open_page_file(path)?);
     let tree = wnrs_rtree::PagedRTree::open(
         wnrs_storage::BufferPool::new(pager, pool_pages),
         wnrs_storage::PageId(0),

@@ -3,7 +3,9 @@
 //! coordinates, points of the wrong dimensionality (in memory and
 //! `--paged on`), a zero sample size (also for `serve`), bad `--cache`
 //! and `--threads` values (in both modes), a non-finite CSV row, and
-//! misspelt or retired flags.
+//! misspelt or retired flags. Only a usage error is followed by the
+//! usage text; a failed file or a refused question prints its one
+//! `error:` line alone.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -260,4 +262,39 @@ fn unknown_flags_are_usage_errors_before_any_work() {
         "--qurey",
         "1,2",
     ]);
+}
+
+/// Runs `args`, expects exit status 1, and returns the number of
+/// `error:` lines and whether the usage text followed.
+fn error_lines_and_usage(args: &[&str]) -> (usize, bool) {
+    let out = wnrs(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?} panicked:\n{stderr}");
+    assert_eq!(out.status.code(), Some(1), "{args:?}:\n{stderr}");
+    let errors = stderr.lines().filter(|l| l.starts_with("error: ")).count();
+    (errors, stderr.lines().any(|l| l.starts_with("usage:")))
+}
+
+#[test]
+fn usage_text_follows_only_usage_errors() {
+    let f = fixture("usage_text");
+    let missing = f.dir.join("missing.idx");
+    let missing = missing.to_string_lossy().into_owned();
+    // An i/o error: the index file does not exist.
+    assert_eq!(
+        error_lines_and_usage(&["rsl", "--index", &missing, "--query", "15000,80"]),
+        (1, false)
+    );
+    // A question error: a customer named by id on a page file.
+    assert_eq!(
+        error_lines_and_usage(&[
+            "mwq", "--paged", "on", "--index", &f.index, "--query", "15000,80", "--whynot", "5",
+        ]),
+        (1, false)
+    );
+    // A usage error still prints the usage text.
+    assert_eq!(
+        error_lines_and_usage(&["rsl", "--data", &f.data, "--query", "15000,80", "--qurey", "1"]),
+        (1, true)
+    );
 }

@@ -13,11 +13,12 @@
 //! conservative (Tables V–VI).
 
 use wnrs_geometry::parallel::{intersect_all, map_range_chunked, map_slice, Parallelism};
-use wnrs_geometry::{Point, PointsView, Rect, Region};
+use wnrs_geometry::region::{Antichain, Corners};
+use wnrs_geometry::{reflect_corners, Point, PointsView, Rect, Region};
 use wnrs_rtree::{into_ok, ItemId, NodeSource, RTree};
 use wnrs_skyline::{
-    approx::approx_anti_ddr_flat, approx::approx_dsl_sample_into, approx::ApproxDslScratch,
-    ddr::anti_ddr, ddr::max_dist, dynamic_skyline,
+    approx::approx_anti_ddr_corners, approx::approx_dsl_sample_into, approx::ApproxDslScratch,
+    ddr::anti_ddr_corners, ddr::max_dist, dynamic_skyline,
 };
 
 /// Computes the exact anti-dominance region of customer `c` in the
@@ -62,24 +63,24 @@ pub fn anti_ddr_from_dsl(
     assert!(shrink >= 0.0, "shrink must be non-negative");
     let dsl_t: Vec<Point> = dsl.iter().map(|(_, p)| p.abs_diff(c)).collect();
     let maxd = max_dist(c, universe);
-    let mut region_t = anti_ddr(&dsl_t, &maxd);
+    let mut corners = anti_ddr_corners(&dsl_t, &maxd);
     if shrink > 0.0 {
-        region_t = Region::from_boxes(
-            region_t
-                .boxes()
-                .iter()
-                .map(|b| {
-                    let hi = Point::new(
-                        (0..b.dim())
-                            .map(|i| (b.hi()[i] - shrink).max(0.0))
-                            .collect::<Vec<_>>(),
-                    );
-                    Rect::new(b.lo().clone(), hi)
-                })
-                .collect(),
-        );
+        // Pruned before reflecting, as whole shrunk boxes would be:
+        // clipping to the universe can make a pruned corner's box equal
+        // to its container's, and which of two equal boxes comes first
+        // decides the region's box order.
+        let d = maxd.dim();
+        let mut shrunk = Antichain::<Corners>::new(d);
+        let mut u = vec![0.0; d];
+        for row in corners.rows().chunks_exact(d) {
+            for (ui, &hi) in u.iter_mut().zip(row) {
+                *ui = (hi - shrink).max(0.0);
+            }
+            shrunk.offer(&u);
+        }
+        corners = shrunk;
     }
-    reflect_region(c, &region_t, universe)
+    reflect_corners(c, corners.rows(), universe)
 }
 
 /// The exact safe region of `q` given its reverse skyline (Algorithm 3).
@@ -287,7 +288,8 @@ pub fn entry_fingerprint(k: usize, dim: usize, coords: &[f64]) -> u64 {
 #[must_use]
 pub fn approx_anti_ddr_of_sample(sample_coords: &[f64], c: &Point, universe: &Rect) -> Region {
     let maxd = max_dist(c, universe);
-    reflect_region(c, &approx_anti_ddr_flat(sample_coords, &maxd), universe)
+    let corners = approx_anti_ddr_corners(sample_coords, &maxd);
+    reflect_corners(c, corners.rows(), universe)
 }
 
 impl ApproxDslStore {
@@ -448,18 +450,6 @@ pub fn approx_safe_region_with(
     let _span = wnrs_obs::span!("sr_approx");
     let regions = map_slice(rsl, par, |(id, c)| store.anti_ddr(*id, c, universe));
     intersect_all(regions, par).unwrap_or_else(|| Region::from_rect(universe.clone()))
-}
-
-/// Reflects a transformed-space region of origin-anchored boxes around
-/// `c` and clips it to the universe.
-fn reflect_region(c: &Point, region_t: &Region, universe: &Rect) -> Region {
-    Region::from_boxes(
-        region_t
-            .boxes()
-            .iter()
-            .filter_map(|b| wnrs_geometry::reflect_rect(c, b.hi()).intersection(universe))
-            .collect(),
-    )
 }
 
 #[cfg(test)]

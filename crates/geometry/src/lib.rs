@@ -16,7 +16,8 @@
 //!   the orthant bookkeeping needed to map regions back.
 //! * [`Region`] — a union-of-boxes region with intersection, area,
 //!   membership and nearest-point queries; the representation used for
-//!   anti-dominance regions and safe regions.
+//!   anti-dominance regions and safe regions. Its algebra runs on flat
+//!   box rows ([`region::Antichain`]).
 //! * [`normalize`] — min–max normalisation (the paper's evaluation metric
 //!   space).
 //! * [`key`] — bit-pattern hashing keys ([`CoordKey`], [`f64_key`]) for
@@ -56,4 +57,4 @@ pub use point::{abs_diff_into, cmp_f64, max_f64, min_f64, Point};
 pub use rect::Rect;
 pub use region::Region;
 pub use store::{PointRef, PointStore, PointsView};
-pub use transform::{orthant_of, reflect_rect, to_distance_space, Orthant};
+pub use transform::{orthant_of, reflect_corners, reflect_rect, to_distance_space, Orthant};

@@ -14,7 +14,7 @@
 //! result order matches input order, so a parallel map is a drop-in
 //! replacement for `iter().map(..).collect()`.
 
-use crate::region::Region;
+use crate::region::{product, Region};
 
 /// Concurrency policy for parallelisable operations.
 ///
@@ -227,38 +227,49 @@ where
 /// intermediate products small. Rounds then halve the working set:
 /// `[r0·r1, r2·r3, …]`, an odd trailing region carrying over untouched.
 ///
+/// Each region is flattened into [`Boxes`](crate::region::Boxes) rows
+/// once; every round's products run on rows, and [`Rect`]s are built
+/// only for the result.
+///
 /// Region intersection with containment pruning produces the canonical
 /// set of maximal boxes of the point-set intersection, which is
 /// independent of association order — so the result equals a sequential
 /// left fold of [`Region::intersect`] up to box ordering. The sequential
 /// (`workers == 1`) and parallel paths perform the *same* pairings, so
 /// they are bit-identical to each other.
+///
+/// [`Rect`]: crate::rect::Rect
 pub fn intersect_all(mut regions: Vec<Region>, par: &Parallelism) -> Option<Region> {
-    if regions.is_empty() {
-        return None;
+    if regions.len() <= 1 {
+        return regions.pop();
     }
     regions.sort_by_key(Region::len);
-    while regions.len() > 1 {
-        let mut pairs: Vec<(Region, Region)> = Vec::with_capacity(regions.len() / 2);
-        let mut carry: Option<Region> = None;
-        let mut it = regions.into_iter();
+    let Some(d) = regions.iter().find_map(Region::dim) else {
+        return Some(Region::empty());
+    };
+    let mut rows: Vec<Vec<f64>> = regions.iter().map(Region::to_rows).collect();
+    drop(regions);
+    while rows.len() > 1 {
+        let mut pairs: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(rows.len() / 2);
+        let mut carry: Option<Vec<f64>> = None;
+        let mut it = rows.into_iter();
         while let Some(a) = it.next() {
             match it.next() {
                 Some(b) => pairs.push((a, b)),
                 None => carry = Some(a),
             }
         }
-        let mut next: Vec<Region> = map_slice(&pairs, par, |(a, b)| a.intersect(b));
+        let mut next: Vec<Vec<f64>> = map_slice(&pairs, par, |(a, b)| product(d, a, b).into_rows());
         if let Some(c) = carry {
             next.push(c);
         }
         // An empty product annihilates the whole intersection; stop early.
-        if next.iter().any(Region::is_empty) {
+        if next.iter().any(Vec::is_empty) {
             return Some(Region::empty());
         }
-        regions = next;
+        rows = next;
     }
-    regions.pop()
+    rows.pop().map(|r| Region::from_pruned_rows(d, &r))
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 
 use crate::point::Point;
 use crate::rect::Rect;
+use crate::region::{intersect_rows, Antichain, Boxes, Region};
 
 /// An orthant around a centre point, encoded as a sign bitmask: bit `i` is
 /// set iff the point lies at or above the centre in dimension `i`.
@@ -59,22 +60,61 @@ pub fn to_distance_space(points: &[Point], origin: &Point) -> Vec<Point> {
 /// Panics if `u` has a negative coordinate (it must be a distance vector).
 pub fn reflect_rect(c: &Point, u: &Point) -> Rect {
     assert_eq!(c.dim(), u.dim());
-    for i in 0..u.dim() {
-        assert!(
-            u[i] >= 0.0,
-            "distance-space corner must be non-negative, got {u:?}"
-        );
-    }
     let d = c.dim();
-    // Widen slightly: the regions these boxes represent are closed and
-    // `c ± u` does not round-trip exactly in f64, so a boundary point
-    // derived from the same distances (the query point, typically) must
-    // not fall out by rounding. The pad scales with the magnitudes
-    // involved (the round trip loses up to a few ulps of the largest).
-    let pad = |i: usize| 4.0 * f64::EPSILON * (c[i].abs() + u[i]);
-    let lo: Vec<f64> = (0..d).map(|i| c[i] - u[i] - pad(i)).collect();
-    let hi: Vec<f64> = (0..d).map(|i| c[i] + u[i] + pad(i)).collect();
+    let mut row = vec![0.0; 2 * d];
+    reflect_row(c.coords(), u.coords(), &mut row);
+    let (lo, hi) = row.split_at(d);
     Rect::new(Point::new(lo), Point::new(hi))
+}
+
+/// [`reflect_rect`] written into `out` as a [`Boxes`] row (lower
+/// corner, then upper corner).
+///
+/// # Panics
+///
+/// Panics if `u` has a negative coordinate (it must be a distance vector).
+#[inline]
+fn reflect_row(c: &[f64], u: &[f64], out: &mut [f64]) {
+    let d = c.len();
+    debug_assert_eq!(u.len(), d);
+    debug_assert_eq!(out.len(), 2 * d);
+    assert!(
+        u.iter().all(|&ui| ui >= 0.0),
+        "distance-space corner must be non-negative, got {u:?}"
+    );
+    for i in 0..d {
+        // Widen slightly: the regions these boxes represent are closed
+        // and `c ± u` does not round-trip exactly in f64, so a boundary
+        // point derived from the same distances (the query point,
+        // typically) must not fall out by rounding. The pad scales with
+        // the magnitudes involved (the round trip loses up to a few ulps
+        // of the largest).
+        let pad = 4.0 * f64::EPSILON * (c[i].abs() + u[i]);
+        out[i] = c[i] - u[i] - pad;
+        out[d + i] = c[i] + u[i] + pad;
+    }
+}
+
+/// The original-space region of a customer at `c` whose distance-space
+/// boxes `[0, u]` are given as [`Corners`](crate::region::Corners) rows: each reflects to
+/// `[c − u, c + u]` ([`reflect_rect`]), is clipped to `universe` and
+/// offered, in row order, to one containment [`Antichain`].
+#[must_use]
+pub fn reflect_corners(c: &Point, corners: &[f64], universe: &Rect) -> Region {
+    let d = c.dim();
+    assert_eq!(d, universe.dim(), "dimensionality mismatch");
+    let mut clip = Vec::with_capacity(2 * d);
+    clip.extend_from_slice(universe.lo().coords());
+    clip.extend_from_slice(universe.hi().coords());
+    let mut boxes = Antichain::<Boxes>::new(d);
+    let (mut reflected, mut clipped) = (vec![0.0; 2 * d], vec![0.0; 2 * d]);
+    for u in corners.chunks_exact(d) {
+        reflect_row(c.coords(), u, &mut reflected);
+        if intersect_rows(&reflected, &clip, &mut clipped) {
+            boxes.offer(&clipped);
+        }
+    }
+    Region::from_antichain(boxes)
 }
 
 /// Inverse of a single-point transform restricted to one orthant: the

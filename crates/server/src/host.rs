@@ -40,7 +40,8 @@ impl EngineHost {
         EngineHost::Paged(Box::new(engine))
     }
 
-    /// The engine mode's stable name (recorded in bench output).
+    /// The engine mode's stable name (recorded in bench output):
+    /// `in_memory`, `in_memory_cached`, `paged` or `paged_cached`.
     #[must_use]
     pub fn mode_name(&self) -> &'static str {
         match self {
@@ -51,7 +52,13 @@ impl EngineHost {
                     "in_memory"
                 }
             }
-            EngineHost::Paged(_) => "paged",
+            EngineHost::Paged(e) => {
+                if e.cache().is_some() {
+                    "paged_cached"
+                } else {
+                    "paged"
+                }
+            }
         }
     }
 }

@@ -40,12 +40,18 @@ fn paper_points() -> Vec<Point> {
 }
 
 fn start_memory(cfg: ServerConfig, pts: Vec<Point>, cached: bool) -> Server {
-    let engine = if cached {
-        WhyNotEngine::new(pts).with_cache()
+    let (engine, mode) = if cached {
+        (WhyNotEngine::new(pts).with_cache(), "in_memory_cached")
     } else {
-        WhyNotEngine::new(pts)
+        (WhyNotEngine::new(pts), "in_memory")
     };
-    Server::start(cfg, EngineHost::memory(engine)).expect("server starts")
+    start_host(cfg, EngineHost::memory(engine), mode)
+}
+
+/// Starts a server over `host` after checking the mode name it reports.
+fn start_host(cfg: ServerConfig, host: EngineHost, mode: &str) -> Server {
+    assert_eq!(host.mode_name(), mode);
+    Server::start(cfg, host).expect("server starts")
 }
 
 /// Encodes the response the single-threaded oracle would produce.
@@ -244,8 +250,7 @@ fn paged_mode_serves_queries_and_rejects_writes() {
 
     let oracle = WhyNotEngine::new(pts.clone());
     let q = Point::xy(8.5, 55.0);
-    let server =
-        Server::start(ServerConfig::default(), EngineHost::paged(engine)).expect("server starts");
+    let server = start_host(ServerConfig::default(), EngineHost::paged(engine), "paged");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
     // Queries agree with the in-memory oracle, byte for byte.
@@ -325,7 +330,7 @@ fn paged_mode_serves_queries_and_rejects_writes() {
         .expect("engine")
         .with_cache();
     let config = ServerConfig::default().with_approx_k(Some(4));
-    let server = Server::start(config, EngineHost::paged(engine)).expect("server starts");
+    let server = start_host(config, EngineHost::paged(engine), "paged_cached");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let approx = oracle.approx_safe_region_lazy(&q, &rsl, 4);
     let resp = client

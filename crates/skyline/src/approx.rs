@@ -21,9 +21,9 @@
 //! offline store build. Both produce bit-identical samples.
 
 use crate::bbs::{bbs_dynamic_skyline_scratch, BbsScratch};
+use wnrs_geometry::region::{Antichain, Corners};
 use wnrs_geometry::{
-    cmp_f64, dominance::prune_dominated, dominates, dominates_components, Point, PointsView, Rect,
-    Region,
+    cmp_f64, dominance::prune_dominated, dominates, dominates_components, Point, PointsView, Region,
 };
 use wnrs_rtree::{ItemId, NodeId, NodeSource};
 
@@ -80,12 +80,17 @@ pub fn approx_anti_ddr(sample_t: &[Point], maxd: &Point) -> Region {
 
 /// As [`approx_anti_ddr`], reading the sample from a flat coordinate
 /// buffer of `len · maxd.dim()` coordinates — the form the offline DSL
-/// store queries directly, without materialising boxed points. The
-/// internal prune/dedup/sort operates on an index permutation.
+/// store queries directly, without materialising boxed points.
 pub fn approx_anti_ddr_flat(sample_t: &[f64], maxd: &Point) -> Region {
+    Region::from_corners(approx_anti_ddr_corners(sample_t, maxd))
+}
+
+/// [`approx_anti_ddr_flat`] as the upper corners of its origin-anchored
+/// boxes, in the region's box order. The internal prune/dedup/sort
+/// operates on an index permutation.
+pub fn approx_anti_ddr_corners(sample_t: &[f64], maxd: &Point) -> Antichain<Corners> {
     let d = maxd.dim();
     debug_assert_eq!(sample_t.len() % d, 0);
-    let origin = Point::new(vec![0.0; d]);
     let n = sample_t.len() / d;
     let pt = |j: usize| &sample_t[j * d..(j + 1) * d];
     // Prune + dedup an index permutation — no point clones.
@@ -99,29 +104,34 @@ pub fn approx_anti_ddr_flat(sample_t: &[f64], maxd: &Point) -> Region {
         idx.push(i);
     }
     dedup_indices(&mut idx, |a, b| pt(a) == pt(b));
+    let mut corners = Antichain::<Corners>::new(d);
     if idx.is_empty() {
-        return Region::from_rect(Rect::new(origin, maxd.clone()));
+        corners.offer(maxd.coords());
+        return corners;
     }
     idx.sort_by(|&a, &b| cmp_f64(sample_t[a * d], sample_t[b * d]));
-    let cap = |j: usize| Point::new((0..d).map(|i| pt(j)[i].min(maxd[i])).collect::<Vec<_>>());
-    let mut boxes = Vec::with_capacity(idx.len() + 2);
+    let mut corner = vec![0.0; d];
+    let cap = |j: usize, corner: &mut Vec<f64>| {
+        for ((c, &p), &m) in corner.iter_mut().zip(pt(j)).zip(maxd.coords()) {
+            *c = p.min(m);
+        }
+    };
     // Left extension: everything with dim-0 below the first sample.
-    let first = idx[0];
-    let mut left = maxd.clone();
-    left = left.with_coord(0, sample_t[first * d].min(maxd[0]));
-    boxes.push(Rect::new(origin.clone(), left));
+    corner.copy_from_slice(maxd.coords());
+    corner[0] = sample_t[idx[0] * d].min(maxd[0]);
+    corners.offer(&corner);
     // One box per sampled skyline point.
     for &j in &idx {
-        boxes.push(Rect::new(origin.clone(), cap(j)));
+        cap(j, &mut corner);
+        corners.offer(&corner);
     }
     // Right extension: the last sample's dim-0 pushed to the maximum,
     // other dimensions kept (for 2-d this is the "below the staircase"
     // slab).
-    let last = idx[idx.len() - 1];
-    let mut right = cap(last);
-    right = right.with_coord(0, maxd[0]);
-    boxes.push(Rect::new(origin, right));
-    Region::from_boxes(boxes)
+    cap(idx[idx.len() - 1], &mut corner);
+    corner[0] = maxd[0];
+    corners.offer(&corner);
+    corners
 }
 
 /// Reusable state for [`approx_dsl_sample_into`]: a [`BbsScratch`] for

@@ -19,7 +19,10 @@
 //! The closed representation errs by a measure-zero set; callers that
 //! need strict safety (property tests) shrink by an epsilon.
 
-use wnrs_geometry::{cmp_f64, dominance::prune_dominated, dominates, Point, Rect, Region};
+use wnrs_geometry::region::{Antichain, Corners};
+use wnrs_geometry::{
+    cmp_f64, dominance::prune_dominated, dominates, reflect_corners, Point, Rect, Region,
+};
 
 /// Per-dimension maximum distance from `c` to anywhere in `universe` —
 /// the transformed-space corner the unbounded staircase boxes are capped
@@ -44,16 +47,6 @@ pub fn max_dist(c: &Point, universe: &Rect) -> Point {
     )
 }
 
-fn origin(d: usize) -> Point {
-    Point::new(vec![0.0; d])
-}
-
-/// Caps `p` coordinate-wise at `cap` (skyline points can lie outside the
-/// declared universe in degenerate configurations; boxes must not).
-fn min_point(p: &Point, cap: &Point) -> Point {
-    Point::new((0..p.dim()).map(|i| p[i].min(cap[i])).collect::<Vec<_>>())
-}
-
 /// The anti-dominance region of a *transformed-space* skyline `dsl_t`
 /// (non-negative coordinates), capped at `maxd`, as origin-anchored
 /// boxes. Dispatches to the exact 2-d staircase when possible.
@@ -61,78 +54,95 @@ fn min_point(p: &Point, cap: &Point) -> Point {
 /// An empty `dsl_t` yields the full `[0, maxd]` box: with no products,
 /// nothing dominates anything.
 pub fn anti_ddr(dsl_t: &[Point], maxd: &Point) -> Region {
+    Region::from_corners(anti_ddr_corners(dsl_t, maxd))
+}
+
+/// [`anti_ddr`] as the upper corners of its origin-anchored boxes, in
+/// the region's box order: the rows the safe-region pipeline shrinks and
+/// reflects without building a box per corner.
+pub fn anti_ddr_corners(dsl_t: &[Point], maxd: &Point) -> Antichain<Corners> {
     if maxd.dim() == 2 {
         anti_ddr_2d(dsl_t, maxd)
     } else {
-        anti_ddr_general(dsl_t, maxd)
+        anti_ddr_general_corners(dsl_t, maxd)
     }
 }
 
 /// The paper's 2-d staircase: `|DSL| + 1` overlapping boxes whose upper
 /// corners are the "outer" stair corners, with the two end boxes extended
-/// to the universe maxima.
-fn anti_ddr_2d(dsl_t: &[Point], maxd: &Point) -> Region {
+/// to the universe maxima. Skyline points outside the declared universe
+/// (possible in degenerate configurations) are capped at `maxd`.
+fn anti_ddr_2d(dsl_t: &[Point], maxd: &Point) -> Antichain<Corners> {
     assert_eq!(maxd.dim(), 2);
     let mut sky: Vec<Point> = dsl_t.to_vec();
     prune_dominated(&mut sky, dominates);
     dedup_points(&mut sky);
+    let mut corners = Antichain::<Corners>::new(2);
     if sky.is_empty() {
-        return Region::from_rect(Rect::new(origin(2), maxd.clone()));
+        corners.offer(maxd.coords());
+        return corners;
     }
     // Ascending x ⇒ descending y (mutually non-dominated).
     sky.sort_by(|a, b| cmp_f64(a[0], b[0]));
     let m = sky.len();
-    let mut boxes = Vec::with_capacity(m + 1);
+    let mut stair = |x: f64, y: f64| {
+        corners.offer(&[x.min(maxd[0]), y.min(maxd[1])]);
+    };
     // Left of the staircase: x ≤ s_0.x, any y.
-    boxes.push(Rect::new(
-        origin(2),
-        min_point(&Point::xy(sky[0][0], maxd[1]), maxd),
-    ));
+    stair(sky[0][0], maxd[1]);
     // Stair corners between successive skyline points.
     for l in 0..m - 1 {
-        boxes.push(Rect::new(
-            origin(2),
-            min_point(&Point::xy(sky[l + 1][0], sky[l][1]), maxd),
-        ));
+        stair(sky[l + 1][0], sky[l][1]);
     }
     // Below the staircase: y ≤ s_m.y, any x.
-    boxes.push(Rect::new(
-        origin(2),
-        min_point(&Point::xy(maxd[0], sky[m - 1][1]), maxd),
-    ));
-    Region::from_boxes(boxes)
+    stair(maxd[0], sky[m - 1][1]);
+    corners
 }
 
 /// General-d anti-dominance decomposition by successive clipping.
 pub fn anti_ddr_general(dsl_t: &[Point], maxd: &Point) -> Region {
+    Region::from_corners(anti_ddr_general_corners(dsl_t, maxd))
+}
+
+/// [`anti_ddr_general`] on upper-corner rows: each skyline point `s`
+/// splits every corner `u` it dominates into the corners
+/// `u` with `u_i` lowered to `s_i`, one per dimension, and the next
+/// corner set is the containment antichain of the results in order.
+fn anti_ddr_general_corners(dsl_t: &[Point], maxd: &Point) -> Antichain<Corners> {
     let d = maxd.dim();
     let mut sky: Vec<Point> = dsl_t.to_vec();
     prune_dominated(&mut sky, dominates);
     dedup_points(&mut sky);
-    let mut boxes = vec![Rect::new(origin(d), maxd.clone())];
+    let mut corners = Antichain::<Corners>::new(d);
+    corners.offer(maxd.coords());
+    let mut next = Antichain::<Corners>::new(d);
+    let mut cand = vec![0.0; d];
     for s in &sky {
-        let mut next: Vec<Rect> = Vec::new();
-        for b in &boxes {
+        let s = s.coords();
+        for u in corners.rows().chunks_exact(d) {
             // If the box already avoids domination by s in some
             // dimension, keep it whole.
-            if (0..d).any(|i| b.hi()[i] <= s[i]) {
-                next.push(b.clone());
+            if u.iter().zip(s).any(|(ui, si)| ui <= si) {
+                next.offer(u);
                 continue;
             }
-            // Otherwise split: clip along each dimension at s_i.
+            // Otherwise split: clip along each dimension at s_i (the
+            // box's lower corner is the origin).
             for i in 0..d {
-                if s[i] >= b.lo()[i] {
-                    let hi = b.hi().with_coord(i, s[i].min(b.hi()[i]));
-                    next.push(Rect::new(b.lo().clone(), hi));
+                if s[i] >= 0.0 {
+                    cand.copy_from_slice(u);
+                    cand[i] = s[i].min(u[i]);
+                    next.offer(&cand);
                 }
             }
         }
-        boxes = Region::from_boxes(next).boxes().to_vec();
-        if boxes.is_empty() {
+        std::mem::swap(&mut corners, &mut next);
+        next.clear();
+        if corners.is_empty() {
             break;
         }
     }
-    Region::from_boxes(boxes)
+    corners
 }
 
 /// The anti-dominance region of `c` in the **original** data space,
@@ -142,13 +152,7 @@ pub fn anti_ddr_general(dsl_t: &[Point], maxd: &Point) -> Region {
 pub fn anti_ddr_original_space(c: &Point, dsl: &[Point], universe: &Rect) -> Region {
     let maxd = max_dist(c, universe);
     let dsl_t: Vec<Point> = dsl.iter().map(|p| p.abs_diff(c)).collect();
-    let region_t = anti_ddr(&dsl_t, &maxd);
-    let boxes = region_t
-        .boxes()
-        .iter()
-        .filter_map(|b| wnrs_geometry::reflect_rect(c, b.hi()).intersection(universe))
-        .collect();
-    Region::from_boxes(boxes)
+    reflect_corners(c, anti_ddr_corners(&dsl_t, &maxd).rows(), universe)
 }
 
 fn dedup_points(pts: &mut Vec<Point>) {
@@ -242,7 +246,7 @@ mod tests {
             Point::xy(40.0, 30.0),
             Point::xy(70.0, 10.0),
         ];
-        let a = anti_ddr_2d(&sky, &maxd2());
+        let a = Region::from_corners(anti_ddr_2d(&sky, &maxd2()));
         let b = anti_ddr_general(&sky, &maxd2());
         assert!((a.area() - b.area()).abs() < 1e-9);
         for xi in 0..40 {

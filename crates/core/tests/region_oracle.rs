@@ -78,6 +78,38 @@ mod oracle {
         (out, pruned)
     }
 
+    /// `Region::intersect_rect`: clip every box, then prune.
+    pub fn intersect_rect(a: &[Rect], r: &Rect) -> (Vec<Rect>, u64) {
+        prune(a.iter().filter_map(|b| b.intersection(r)).collect())
+    }
+
+    /// `Region::shrink`: move every side in by `eps`, drop the boxes
+    /// that collapse, then prune.
+    pub fn shrink(a: &[Rect], eps: f64) -> (Vec<Rect>, u64) {
+        if eps <= 0.0 {
+            return (a.to_vec(), 0);
+        }
+        prune(
+            a.iter()
+                .filter_map(|b| {
+                    let d = b.dim();
+                    let mut lo = Vec::with_capacity(d);
+                    let mut hi = Vec::with_capacity(d);
+                    for (&l0, &h0) in b.lo().coords().iter().zip(b.hi().coords().iter()) {
+                        let l = l0 + eps;
+                        let h = h0 - eps;
+                        if l > h {
+                            return None;
+                        }
+                        lo.push(l);
+                        hi.push(h);
+                    }
+                    Some(Rect::new(Point::new(lo), Point::new(hi)))
+                })
+                .collect(),
+        )
+    }
+
     /// `parallel::intersect_all`: sort by box count, then pair up in
     /// rounds. Workers change only who computes a pair, not the pairs.
     pub fn intersect_all(mut regions: Vec<Vec<Rect>>) -> (Option<Vec<Rect>>, u64) {
@@ -275,7 +307,8 @@ mod oracle {
         }
     }
 
-    /// `approx::approx_anti_ddr_flat`.
+    /// `approx::approx_anti_ddr_flat`, whose rows `approx_anti_ddr_corners`
+    /// now builds.
     pub fn approx_anti_ddr_flat(sample_t: &[f64], maxd: &Point) -> (Vec<Rect>, u64) {
         let d = maxd.dim();
         let origin = Point::new(vec![0.0; d]);
@@ -381,7 +414,8 @@ fn points(d: usize, coords: &[f64]) -> Vec<Point> {
 // Replays: one instance through every operation that reads it
 // ----------------------------------------------------------------------
 
-/// `from_boxes` and `intersect` on two box lists (`lo ‖ hi` rows).
+/// `from_boxes`, `intersect`, `union`, `intersect_rect` and `shrink` on
+/// two box lists (`lo ‖ hi` rows).
 fn replay_boxes(d: usize, a: &[f64], b: &[f64]) {
     let replay = format!("replay_boxes({d}, &{a:?}, &{b:?})");
     let (ra, rb) = (rects(d, a), rects(d, b));
@@ -413,6 +447,23 @@ fn replay_boxes(d: usize, a: &[f64], b: &[f64]) {
             .collect(),
     );
     same("a.union(b)", (got.boxes(), n), (&want, m), &replay);
+    if let Some(clip) = rb.first() {
+        let (got, n) = pruned_by(|| region_a.intersect_rect(clip));
+        let (want, m) = oracle::intersect_rect(region_a.boxes(), clip);
+        same(
+            "a.intersect_rect(b[0])",
+            (got.boxes(), n),
+            (&want, m),
+            &replay,
+        );
+    }
+    // MWQ shrinks by DEFAULT_EPS; 0.5 collapses many grid boxes.
+    for eps in [0.0, DEFAULT_EPS, 0.5] {
+        let what = format!("a.shrink({eps:e})");
+        let (got, n) = pruned_by(|| region_a.shrink(eps));
+        let (want, m) = oracle::shrink(region_a.boxes(), eps);
+        same(&what, (got.boxes(), n), (&want, m), &replay);
+    }
 }
 
 /// `intersect_all`, sequential and on two workers, over regions made
@@ -571,8 +622,8 @@ fn box_rows(rng: &mut StdRng, d: usize, max: usize) -> Vec<f64> {
     rows
 }
 
-/// Box cases run d = 1…7: the kernels compile their scans for the row
-/// widths of d = 2…5 and fall back to a width-generic one beyond.
+/// Box cases run d = 1…7, past every row width the kernels compile a
+/// scan for.
 fn boxes_case(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let d = rng.gen_range(1..8usize);

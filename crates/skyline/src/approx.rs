@@ -75,19 +75,13 @@ pub fn approx_anti_ddr(sample_t: &[Point], maxd: &Point) -> Region {
     for p in sample_t {
         flat.extend_from_slice(p.coords());
     }
-    approx_anti_ddr_flat(&flat, maxd)
+    Region::from_corners(approx_anti_ddr_corners(&flat, maxd))
 }
 
-/// As [`approx_anti_ddr`], reading the sample from a flat coordinate
-/// buffer of `len · maxd.dim()` coordinates — the form the offline DSL
-/// store queries directly, without materialising boxed points.
-pub fn approx_anti_ddr_flat(sample_t: &[f64], maxd: &Point) -> Region {
-    Region::from_corners(approx_anti_ddr_corners(sample_t, maxd))
-}
-
-/// [`approx_anti_ddr_flat`] as the upper corners of its origin-anchored
-/// boxes, in the region's box order. The internal prune/dedup/sort
-/// operates on an index permutation.
+/// [`approx_anti_ddr`] as the upper corners of its origin-anchored
+/// boxes, in the region's box order, reading the sample from a flat
+/// buffer of `len · maxd.dim()` coordinates. The internal
+/// prune/dedup/sort operates on an index permutation.
 pub fn approx_anti_ddr_corners(sample_t: &[f64], maxd: &Point) -> Antichain<Corners> {
     let d = maxd.dim();
     debug_assert_eq!(sample_t.len() % d, 0);
@@ -402,20 +396,19 @@ mod tests {
         let maxd = Point::xy(10.0, 10.0);
         let r = approx_anti_ddr(&[], &maxd);
         assert!((r.area() - 100.0).abs() < 1e-9);
-        let rf = approx_anti_ddr_flat(&[], &maxd);
+        let rf = Region::from_corners(approx_anti_ddr_corners(&[], &maxd));
         assert!((rf.area() - 100.0).abs() < 1e-9);
     }
 
     #[test]
-    fn flat_region_matches_boxed_region() {
+    fn corners_match_boxed_region() {
         let sky = staircase(25);
         let maxd = Point::xy(100.0, 100.0);
         let sample = sample_dsl(sky, 6);
         let flat: Vec<f64> = sample.iter().flat_map(|p| p.coords().to_vec()).collect();
         let a = approx_anti_ddr(&sample, &maxd);
-        let b = approx_anti_ddr_flat(&flat, &maxd);
-        assert!((a.area() - b.area()).abs() < 1e-12);
-        assert_eq!(a.len(), b.len());
+        let b = Region::from_corners(approx_anti_ddr_corners(&flat, &maxd));
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -26,9 +26,7 @@ pub mod ddr;
 pub mod dynamic;
 pub mod sfs;
 
-pub use approx::{
-    approx_anti_ddr, approx_anti_ddr_flat, approx_dsl_sample_into, sample_dsl, ApproxDslScratch,
-};
+pub use approx::{approx_anti_ddr, approx_dsl_sample_into, sample_dsl, ApproxDslScratch};
 pub use bbs::{
     bbs_dynamic_skyline, bbs_dynamic_skyline_excluding, bbs_dynamic_skyline_scratch, bbs_skyline,
     dynamic_skyline, BbsScratch,
